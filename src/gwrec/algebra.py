@@ -9,7 +9,7 @@ floating point enters anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 Rat = Fraction
 
@@ -560,10 +560,7 @@ class LaurentSeries:
                 out.append(Fraction(0))
             else:
                 out.append(c / (e + 1))
-        s = LaurentSeries(self.var, self.center, self.min_exp + 1, out, self.trunc + 1)
-        if s.min_exp <= 0 < s.trunc:
-            pass  # constant term is zero by construction
-        return s
+        return LaurentSeries(self.var, self.center, self.min_exp + 1, out, self.trunc + 1)
 
     def compose(self, inner: "LaurentSeries") -> "LaurentSeries":
         """self(inner) for a power-series self (min_exp >= 0) and inner with
@@ -608,11 +605,16 @@ def binomial(n: int, k: int) -> int:
     out = 1
     for i in range(k):
         out *= n - i
-    return out // _fact(k)
+    return out // factorial(k)
 
 
-def _fact(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+def compositions(total: int, parts: int):
+    """Tuples of `parts` non-negative integers summing to `total`, in
+    lexicographic order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest

@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import SymRat, format_rat, parse_rat
+from .algebra import MissingAtomError, SymRat, format_rat, parse_rat
 from .engine import Engine, InvariantKey
 from .eo import (
     SpectralCurve,
@@ -43,14 +43,10 @@ class CacheConflictError(ValueError):
 
 
 class Config:
-    """Runtime configuration: atom assignments, cache path, depth defaults
-    and exploratory flags."""
+    """Runtime configuration: rational values assigned to symbolic atoms."""
 
-    def __init__(self, atoms=None, cache_path=None, depths=None, exploratory=()):
+    def __init__(self, atoms=None):
         self.atoms = {k: Fraction(v) for k, v in (atoms or {}).items()}
-        self.cache_path = cache_path
-        self.depths = dict(depths or {})
-        self.exploratory = set(exploratory)
 
     @classmethod
     def load(cls, path) -> "Config":
@@ -62,12 +58,7 @@ class Config:
                 atoms[name] = parse_rat(str(val))
             except (ValueError, ZeroDivisionError) as exc:
                 raise UsageError(f"bad atom value for {name}: {val!r}") from exc
-        return cls(
-            atoms=atoms,
-            cache_path=obj.get("cachePath"),
-            depths=obj.get("depths"),
-            exploratory=obj.get("exploratoryFlags", ()),
-        )
+        return cls(atoms)
 
 
 def load_cache(path) -> dict:
@@ -355,6 +346,9 @@ def main(argv=None) -> int:
         if args.cache:
             save_cache(engine.export_cache(), args.cache)
         return rc
+    except MissingAtomError as exc:
+        print(f"error: no value assigned to atom {exc.args[0]}", file=sys.stderr)
+        return 2
     except (UsageError, CacheConflictError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

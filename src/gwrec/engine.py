@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .algebra import SymRat, c_factor
+from .algebra import SymRat, c_factor, compositions
 
 Insertion = tuple  # (m, k): descendant level and class exponent
 
@@ -413,7 +413,7 @@ class Engine:
         total = Fraction(0)
         ne = len(extras)
         for kk in range(1, beta + 2):
-            for comp in _compositions(beta + 1 - kk, kk):
+            for comp in compositions(beta + 1 - kk, kk):
                 for assign in product(range(kk), repeat=ne):
                     groups = [[] for _ in range(kk)]
                     for idx, grp in zip(range(ne), assign):
@@ -588,16 +588,6 @@ class Engine:
             if key in self.cache and self.cache[key] != val:
                 raise ValueError(f"cache conflict for {key_str}")
             self.cache[key] = val
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for tail in _compositions(total - first, parts - 1):
-            yield (first,) + tail
 
 
 DEFAULT_ENGINE = Engine()

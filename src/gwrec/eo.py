@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
-from .algebra import LaurentSeries, SymRat, format_rat
+from .algebra import LaurentSeries, SymRat, compositions, format_rat
 from .engine import DEFAULT_ENGINE, Engine
-from .moduli import psi_intersection, _fact
+from .moduli import psi_intersection
 from .quasifit import VerificationReport
 
 
@@ -335,7 +336,7 @@ def eo_invariant(g, n, curve: SpectralCurve | None = None) -> PoleBasisDifferent
 
 
 def _catalan(k):
-    return _fact(2 * k) // (_fact(k) * _fact(k + 1))
+    return factorial(2 * k) // (factorial(k) * factorial(k + 1))
 
 
 def _w_series(depth) -> LaurentSeries:
@@ -421,7 +422,7 @@ def gw_generating(g, n, depth, engine: Engine = DEFAULT_ENGINE) -> dict:
             val = engine.invariant(1, g, [(m, 1) for m in prefix])
             if val:
                 for m in prefix:
-                    val = val * _fact(m + 1)
+                    val = val * factorial(m + 1)
                 out[tuple(prefix)] = val
             return
         slots_left = n - len(prefix) - 1
@@ -676,10 +677,10 @@ def pole_asymptotics_check(
         if len(signs) > 1:
             mixed += 1
     for alpha in (1, -1):
-        for beta in _all_compositions(3 * g - 3 + n, n):
+        for beta in compositions(3 * g - 3 + n, n):
             expected = scale * psi_intersection(g, beta)
             for b in beta:
-                expected *= Fraction(_fact(2 * b + 1), _fact(b))
+                expected *= Fraction(factorial(2 * b + 1), factorial(b))
             got = pd.coefficient(tuple((alpha, 2 * b + 2) for b in beta))
             if got != expected:
                 return VerificationReport(
@@ -687,13 +688,3 @@ def pole_asymptotics_check(
                     {"alpha": alpha, "beta": beta, "got": got, "expected": expected},
                 )
     return VerificationReport(claim, "pass", {"mixed_sign_terms": mixed})
-
-
-def _all_compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _all_compositions(total - first, parts - 1):
-            yield (first,) + rest

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
-from .algebra import MultiPoly, QuasiPoly, binomial, _fact
+from .algebra import MultiPoly, QuasiPoly, binomial, compositions
 
 
 class UnstableKeyError(ValueError):
@@ -150,21 +151,21 @@ def point_invariant_closed(g: int, m, d: int) -> Fraction:
         if d < j:
             return Fraction(0)
         return point_invariant_closed(g, m + (0,) * j, d - j) * Fraction(
-            _fact(d - j), _fact(d)
+            factorial(d - j), factorial(d)
         )
     total = Fraction(0)
-    for beta in _compositions(3 * g - 3 + n, n):
+    for beta in compositions(3 * g - 3 + n, n):
         prod = Fraction(1)
         for mi, bi in zip(m, beta):
             if bi > mi:
                 prod = Fraction(0)
                 break
-            prod *= binomial(mi, bi) * _fact(bi)
+            prod *= binomial(mi, bi) * factorial(bi)
         if prod:
             total += prod * psi_intersection(g, beta)
     denom = 1
     for mi in m:
-        denom *= _fact(mi)
+        denom *= factorial(mi)
     return total / denom
 
 
@@ -181,7 +182,7 @@ def point_invariant_string(g: int, m, d: int) -> Fraction:
     elif not any(m):
         # All levels zero: the string step below would forget down to an
         # unstable space; the integrand is 1 and the space is a point.
-        val = Fraction(1, _fact(d))
+        val = Fraction(1, factorial(d))
     else:
         ms = key[1]
         val = Fraction(0)
@@ -195,16 +196,6 @@ def point_invariant_string(g: int, m, d: int) -> Fraction:
     return val
 
 
-def _compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def n0_polynomial(g: int, n: int) -> QuasiPoly:
     """The degree 3g-3+n polynomial whose value at m is
     prod m_i! * <prod tau_{m_i} . exp(tau_0)>_g, as a one-branch QuasiPoly.
@@ -216,7 +207,7 @@ def n0_polynomial(g: int, n: int) -> QuasiPoly:
         raise UnstableKeyError(f"(g, n) = ({g}, {n}) is unstable")
     D = 3 * g - 3 + n
     poly = MultiPoly.zero(n)
-    for beta in _compositions(D, n):
+    for beta in compositions(D, n):
         w = psi_intersection(g, beta)
         if not w:
             continue

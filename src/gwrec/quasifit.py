@@ -11,8 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
+from math import prod
 
-from .algebra import MultiPoly, QuasiPoly, SymRat, c_factor, ceil_div, format_rat
+from .algebra import (
+    ZERO,
+    MultiPoly,
+    QuasiPoly,
+    SymRat,
+    binomial,
+    c_factor,
+    ceil_div,
+    compositions,
+    format_rat,
+)
 from .engine import DEFAULT_ENGINE, Engine, degree_of
 from .moduli import psi_intersection
 
@@ -68,7 +79,6 @@ class FitSpec:
     fixed_insertions: tuple = ()
     cosets: list | None = None
     min_m: int | None = None  # lower bound for sample levels
-    surplus: int = 2
 
     @property
     def degree_bound(self) -> int:
@@ -80,71 +90,71 @@ class FitSpec:
         return max(0, 3 * self.g - 1)
 
 
-def _solve_exact(rows, rhs_rows, ncols):
-    """Gaussian elimination over Q for an overdetermined multi-RHS system.
+def _differences(table, degree):
+    """Newton coefficients of the lattice interpolant of total degree
+    <= degree.
 
-    rows[i] has ncols coefficients, rhs_rows[i] is the tuple of right-hand
-    sides for that equation.  Returns one solution vector per RHS column.
-    Raises when the system is underdetermined or inconsistent.
+    `table` maps lattice offsets alpha to the samples f(alpha); the offsets
+    must form a lower set (with alpha, every alpha - e_k with alpha_k > 0).
+    The table is overwritten, one axis at a time, by the forward differences
+    Delta^alpha f(0).  On a lower set the samples agree with a polynomial of
+    total degree <= degree exactly when every higher difference vanishes,
+    so that is the consistency check.  Returns {alpha: Delta^alpha f(0)}
+    for |alpha| <= degree; the interpolant is their sum against
+    prod_k binomial(x_k, alpha_k).
     """
-    ncomp = len(rhs_rows[0]) if rhs_rows else 0
-    aug = [list(r) + list(b) for r, b in zip(rows, rhs_rows)]
-    nrows = len(aug)
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(row, nrows):
-            if aug[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    if len(pivots) < ncols:
-        raise UnderdeterminedSystemError(
-            f"rank {len(pivots)} < {ncols} unknowns from {nrows} samples"
-        )
-    for r in range(row, nrows):
-        if any(aug[r][ncols:]):
-            raise InconsistentSamplesError("surplus sample disagrees with interpolant")
-    sol = [[Fraction(0)] * ncomp for _ in range(ncols)]
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols:]
-    return sol
+    nvars = len(next(iter(table)))
+    for a in table:
+        for k in range(nvars):
+            if a[k] and _step_down(a, k) not in table:
+                raise ValueError(
+                    f"samples off the lattice: offset {a} without {_step_down(a, k)}"
+                )
+    for a in compositions(degree, nvars):
+        if a not in table:
+            raise UnderdeterminedSystemError(
+                f"no sample at offset {a} for an interpolant of degree {degree}"
+            )
+    for k in range(nvars):
+        order = sorted(table, key=lambda a: a[k], reverse=True)
+        for r in range(1, order[0][k] + 1):
+            for a in order:
+                if a[k] < r:
+                    break
+                table[a] = table[a] - table[_step_down(a, k)]
+    newton = {}
+    for a, d in table.items():
+        if sum(a) <= degree:
+            newton[a] = d
+        elif d:
+            raise InconsistentSamplesError(
+                f"difference at offset {a} is {d!r}, beyond degree {degree}"
+            )
+    return newton
 
 
-def _monomials(nvars, degree):
-    """Exponent tuples of total degree <= degree, in a fixed order."""
-    out = []
+def _step_down(a, k):
+    return a[:k] + (a[k] - 1,) + a[k + 1 :]
 
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, slots - 1)
 
-    rec([], degree, nvars)
+def _binomial_coeffs(base, step, k):
+    """Monomial coefficients, lowest degree first, of binomial((x - base)/step, k)."""
+    out = [Fraction(1)]
+    for j in range(k):
+        # times (x - base - j*step) / (step*(j+1))
+        den = step * (j + 1)
+        shift = Fraction(-(base + j * step), den)
+        out = [shift * a + Fraction(b, den) for a, b in zip(out + [0], [0] + out)]
     return out
 
 
 def quasi_fit(samples, N, nvars, degree_bound) -> QuasiPoly:
     """Exact interpolation of one quasi-polynomial from sampled values.
 
-    Samples are grouped by coset; each branch is solved independently and
-    component-wise per atom, and every sample (surplus included) is checked
-    against the interpolant afterwards.
+    Samples are grouped by coset; each coset is read as a lower set of the
+    lattice (N+1)Z^nvars anchored at the componentwise minimum of its
+    points, and interpolated by forward differences (`_differences`),
+    which also checks every sample, surplus included, against the result.
     """
     mod = N + 1
     groups: dict = {}
@@ -152,52 +162,36 @@ def quasi_fit(samples, N, nvars, degree_bound) -> QuasiPoly:
         point = tuple(int(x) for x in point)
         if len(point) != nvars:
             raise ValueError("sample arity mismatch")
-        groups.setdefault(tuple(x % mod for x in point), []).append(
-            (point, SymRat.of(value))
-        )
-    basis = _monomials(nvars, degree_bound)
+        group = groups.setdefault(tuple(x % mod for x in point), {})
+        value = SymRat.of(value)
+        if group.setdefault(point, value) != value:
+            raise InconsistentSamplesError(
+                f"two samples at {point}: {group[point]!r} and {value!r}"
+            )
     branches = {}
     for res, pts in groups.items():
-        if len(pts) < len(basis):
-            raise UnderdeterminedSystemError(
-                f"coset {res}: {len(pts)} samples for {len(basis)} coefficients"
-            )
-        atoms = sorted({a for _, v in pts for a in v.atoms})
-        rows = []
-        rhs = []
-        for point, value in pts:
-            rows.append(
-                [
-                    Fraction(
-                        _int_pow(point, e)
-                    )
-                    for e in basis
-                ]
-            )
-            rhs.append([value.scalar] + [value.atoms.get(a, Fraction(0)) for a in atoms])
-        sol = _solve_exact(rows, rhs, len(basis))
-        terms = {}
-        for e, comp in zip(basis, sol):
-            coeff = SymRat(comp[0], dict(zip(atoms, comp[1:])))
-            if coeff:
-                terms[e] = coeff
+        base = tuple(map(min, zip(*pts)))
+        table = {
+            tuple((x - b) // mod for x, b in zip(point, base)): value
+            for point, value in pts.items()
+        }
+        newton = _differences(table, degree_bound)
+        binoms = [
+            [_binomial_coeffs(b, mod, a) for a in range(degree_bound + 1)]
+            for b in base
+        ]
+        terms: dict = {}
+        for alpha, c in newton.items():
+            if not c:
+                continue
+            for e in product(*(range(a + 1) for a in alpha)):
+                w = prod(binoms[k][a][ek] for k, (a, ek) in enumerate(zip(alpha, e)))
+                if w:
+                    terms[e] = terms.get(e, ZERO) + c * w
         poly = MultiPoly(nvars, terms)
-        for point, value in pts:
-            got = poly.eval(point)
-            if got != value:
-                raise InconsistentSamplesError(
-                    f"sample at {point}: interpolant gives {got!r}, engine {value!r}"
-                )
         if poly.terms:
             branches[res] = poly
     return QuasiPoly(N, nvars, branches)
-
-
-def _int_pow(point, exps):
-    out = 1
-    for p, e in zip(point, exps):
-        out *= p**e
-    return out
 
 
 def stationary_parity(N, g, n, fixed=()):
@@ -233,24 +227,15 @@ def fit_stationary(spec: FitSpec, engine: Engine = DEFAULT_ENGINE) -> QuasiPoly:
         return v
 
     floor = spec.floor()
-    samples = []
     fitted = {}
     for res in cosets:
         bases = [floor + ((r - floor) % mod) for r in res]
         pts = list(product(*[[b + mod * i for i in range(D + 1)] for b in bases]))
-        if spec.surplus >= 1:
-            pts.append(tuple(b + (mod * (D + 1) if j == 0 else 0) for j, b in enumerate(bases)))
-        if spec.surplus >= 2:
-            pts.append(
-                tuple(
-                    b + (mod * (D + 2) if j == min(1, n - 1) else 0)
-                    for j, b in enumerate(bases)
-                )
-            )
-        for p in pts:
-            samples.append((p, sample(p)))
-        sub = quasi_fit([s for s in samples if tuple(x % mod for x in s[0]) == res],
-                        N, n, D)
+        if n:
+            # Two surplus nodes beyond the grid on the first axis keep the
+            # samples a lower set of the lattice.
+            pts += [(bases[0] + mod * i, *bases[1:]) for i in (D + 1, D + 2)]
+        sub = quasi_fit([(p, sample(p)) for p in pts], N, n, D)
         fitted.update(sub.branches)
 
     # Complete the branch family under permutations of the slots.
@@ -279,13 +264,16 @@ class StationaryFamily:
 
     Arguments below the sampling floor (negative entries in particular) are
     evaluated by exact univariate extrapolation along their coset, one slot
-    at a time; each extrapolation carries a surplus node whose agreement
-    with the interpolant is the embedded quasi-polynomiality check.  The
-    genus-0 one- and two-slot families use their closed forms instead: they
-    are rational in the arguments, not polynomial.
+    at a time, in Newton form from the forward differences of degree + 2
+    nodes; the vanishing of the top difference is the embedded
+    quasi-polynomiality check.  The genus-0 one- and two-slot families use
+    their closed forms instead: they are rational in the arguments, not
+    polynomial.
     """
 
     def __init__(self, N, g, nvars, engine: Engine = DEFAULT_ENGINE, min_m=None):
+        if nvars < 1:
+            raise ValueError("a stationary family needs at least one slot")
         self.N = N
         self.g = g
         self.nvars = nvars
@@ -317,32 +305,26 @@ class StationaryFamily:
         for i, x in enumerate(v):
             if x < self.floor:
                 base = self.floor + ((x - self.floor) % mod)
-                nodes = [base + mod * j for j in range(self.degree + 2)]
-                vals = [self.value(v[:i] + (t,) + v[i + 1 :]) for t in nodes]
-                got = _lagrange(nodes[:-1], vals[:-1], nodes[-1])
-                if got != vals[-1]:
+                table = {
+                    (j,): self.value(v[:i] + (base + mod * j,) + v[i + 1 :])
+                    for j in range(self.degree + 2)
+                }
+                try:
+                    newton = _differences(table, self.degree)
+                except InconsistentSamplesError as exc:
                     raise InconsistentSamplesError(
                         f"slice through {v} is not polynomial of degree "
-                        f"{self.degree}: node {nodes[-1]} gives {vals[-1]!r}, "
-                        f"interpolant {got!r}"
-                    )
-                return _lagrange(nodes[:-1], vals[:-1], x)
+                        f"{self.degree}: {exc}"
+                    ) from None
+                t = (x - base) // mod
+                out = ZERO
+                for (j,), d in newton.items():
+                    out = out + d * binomial(t, j)
+                return out
         val = self.engine.invariant(self.N, self.g, [(m, self.N) for m in v])
         for m in v:
             val = val * c_factor(mod, m)
         return val
-
-
-def _lagrange(nodes, values, at):
-    at = Fraction(at)
-    out = SymRat(0)
-    for j, xj in enumerate(nodes):
-        lam = Fraction(1)
-        for l, xl in enumerate(nodes):
-            if l != j:
-                lam *= (at - xl) / Fraction(xj - xl)
-        out = out + values[j] * lam
-    return out
 
 
 _FAMILIES: dict = {}
@@ -367,9 +349,7 @@ def verify_top_coefficients(q: QuasiPoly, g, n, N) -> VerificationReport:
     scale = Fraction(N + 1) ** (3 - 2 * g - n)
     tops = {}
     for res, poly in sorted(q.branches.items()):
-        for e in _monomials(n, D):
-            if sum(e) != D:
-                continue
+        for e in compositions(D, n):
             coeff = poly.coeff(e)
             expected = scale * psi_intersection(g, e)
             if coeff.atoms:
@@ -521,12 +501,10 @@ def asymptotics_report(
     D = 3 * g - 3 + n
     top = Fraction(0)
     scale = Fraction(N + 1) ** (3 - 2 * g - n)
-    for e in _monomials(n, D):
-        if sum(e) != D:
-            continue
+    for e in compositions(D, n):
         w = psi_intersection(g, e)
         if w:
-            top += scale * w * _int_pow(ms, e)
+            top += scale * w * prod(m**k for m, k in zip(ms, e))
     if top == 0:
         return VerificationReport(claim, "fail", {"reason": "vanishing top form"})
     dev = abs(num / top - 1)

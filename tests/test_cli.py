@@ -52,6 +52,14 @@ class TestInvariantCommand:
         assert rc == 2
         assert "invalid-exponent" in err
 
+    def test_unassigned_atom_is_usage_error(self, capsys):
+        rc, recs, err = run(
+            capsys, "--resolve-atoms", "invariant", "--N", "1", "--g", "1", "--ins", "0:1"
+        )
+        assert rc == 2
+        assert recs == []
+        assert err.startswith("error:") and "gw[N=1;g=1;ins=(0,1)]" in err
+
     def test_resolve_atoms(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"atoms": {"gw[N=1;g=1;ins=(0,1)]": "-1/24"}}))
@@ -76,6 +84,12 @@ class TestVerifyCommands:
         )
         assert rc == 0
         assert recs[0]["status"] == "pass"
+
+    def test_negative_without_primaries_is_usage_error(self, capsys):
+        rc, recs, err = run(capsys, "verify", "negative", "--N", "1", "--g", "0")
+        assert rc == 2
+        assert recs == []
+        assert err.startswith("error:")
 
     def test_eo_compare_needs_atoms(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

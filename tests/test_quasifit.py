@@ -22,6 +22,9 @@ from gwrec.quasifit import (
     verify_top_coefficients,
 )
 
+from gwrec.engine import Engine
+from gwrec.quasifit import StationaryFamily
+
 ATOM_A = "gw[N=1;g=1;ins=(0,1)]"
 ATOMS = {ATOM_A: Fraction(-1, 24)}
 
@@ -77,6 +80,17 @@ class TestQuasiFit:
                     samples.append((pt, q.eval(pt)))
             got = quasi_fit(samples, N, nvars, deg)
             assert got.branches == q.branches
+
+    def test_samples_off_a_lower_set(self):
+        # (4, 2) is sampled without (4, 0): not a lower set of the lattice
+        pts = [((0, 0), 1), ((2, 0), 2), ((0, 2), 3), ((2, 2), 4), ((4, 2), 5)]
+        with pytest.raises(ValueError, match="off the lattice"):
+            quasi_fit(pts, 1, 2, 1)
+
+    def test_two_samples_at_one_point(self):
+        pts = [((0,), SymRat(1)), ((2,), SymRat(2)), ((2,), SymRat(3))]
+        with pytest.raises(InconsistentSamplesError):
+            quasi_fit(pts, 1, 1, 1)
 
 
 class TestFitStationary:
@@ -142,6 +156,17 @@ class TestStationaryFamily:
         lhs = lhs * c_factor(3, 4) * c_factor(3, 3)
         assert fam.value((-1, 4, 3)) == lhs
 
+    def test_non_polynomial_slice_is_rejected(self):
+        class ConstantEngine(Engine):
+            # c-normalised values become c_2(m), which grows factorially
+            def invariant(self, N, g, insertions):
+                return SymRat(1)
+
+        fam = StationaryFamily(1, 1, 1, ConstantEngine())
+        assert fam.value((4,)) == c_factor(2, 4)
+        with pytest.raises(InconsistentSamplesError):
+            fam.value((-1,))
+
 
 class TestVerifiers:
     def test_top_coefficients_examples(self):
@@ -195,6 +220,10 @@ class TestVerifiers:
     def test_negative_evaluation(self, N, g, ks, ms):
         rep = verify_negative_evaluation(N, g, ks, ms)
         assert rep.status == "pass", rep.to_obj()
+
+    def test_negative_evaluation_needs_an_insertion(self):
+        with pytest.raises(ValueError):
+            verify_negative_evaluation(1, 0, (), ())
 
     def test_p_string_divisor(self):
         assert verify_p_string_divisor(1, 0, 2, max_m=10).status == "pass"
