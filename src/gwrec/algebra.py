@@ -9,7 +9,8 @@ floating point enters anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
+from operator import mul
 
 Rat = Fraction
 
@@ -387,50 +388,81 @@ class LaurentSeries:
     """Truncated Laurent series: coefficients for exponents
     min_exp <= e < trunc; exponents >= trunc are unknown (not zero).
 
+    The coefficients are held exactly as Python-int numerators `nums` over
+    one shared positive denominator `den`, in lowest terms, with a nonzero
+    leading numerator unless the series is zero, so the arithmetic never
+    builds a Fraction.  `coeffs` is the same data as a list of Fractions,
+    built on first use.
+
     Arithmetic tracks the truncation order pessimistically, so a result
     never claims more precision than its inputs support.
     """
 
-    __slots__ = ("var", "center", "min_exp", "coeffs", "trunc")
+    __slots__ = ("var", "center", "min_exp", "trunc", "nums", "den", "_coeffs")
 
     def __init__(self, var, center, min_exp, coeffs, trunc=None):
         coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        self._set(var, center, min_exp, nums, den, trunc)
+
+    @classmethod
+    def _make(cls, var, center, min_exp, nums, den, trunc):
+        """Build from integer numerators over den > 0 (not yet reduced)."""
+        out = object.__new__(cls)
+        out._set(var, center, min_exp, nums, den, trunc)
+        return out
+
+    def _set(self, var, center, min_exp, nums, den, trunc):
         if trunc is None:
-            trunc = min_exp + len(coeffs)
-        if trunc < min_exp + len(coeffs):
-            coeffs = coeffs[: trunc - min_exp]
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            min_exp += 1
-        while len(coeffs) < trunc - min_exp and coeffs:
-            coeffs.append(Fraction(0))
-        if not coeffs:
+            trunc = min_exp + len(nums)
+        if trunc < min_exp + len(nums):
+            nums = nums[: trunc - min_exp]
+        lead = 0
+        while lead < len(nums) and not nums[lead]:
+            lead += 1
+        if lead:
+            nums = nums[lead:]
+            min_exp += lead
+        if nums:
+            if len(nums) < trunc - min_exp:
+                nums = nums + [0] * (trunc - min_exp - len(nums))
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [v // g for v in nums]
+                den //= g
+        else:
             min_exp = trunc
+            den = 1
         self.var = var
         self.center = center
         self.min_exp = min_exp
-        self.coeffs = coeffs
         self.trunc = trunc
+        self.nums = nums
+        self.den = den
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> list:
+        """The known coefficients, exponents min_exp .. trunc - 1, as Fractions."""
+        if self._coeffs is None:
+            self._coeffs = [Fraction(v, self.den) for v in self.nums]
+        return self._coeffs
 
     @classmethod
     def zero(cls, var, center, trunc):
-        return cls(var, center, trunc, [])
+        return cls._make(var, center, trunc, [], 1, trunc)
 
     @classmethod
     def const(cls, var, center, value, trunc):
         return cls(var, center, 0, [value], trunc)
-
-    @classmethod
-    def x(cls, var, center, trunc):
-        """The local coordinate itself."""
-        return cls(var, center, 1, [1], trunc)
 
     def _check_compat(self, other):
         if self.var != other.var or self.center != other.center:
             raise ValueError("series live in different local charts")
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.nums
 
     def coefficient(self, e: int) -> Fraction:
         if e >= self.trunc:
@@ -447,18 +479,12 @@ class LaurentSeries:
             raise TruncationError("series truncated before exponent -1")
         if self.min_exp > -1:
             return Fraction(0)
-        return self.coeffs[-1 - self.min_exp]
+        return Fraction(self.nums[-1 - self.min_exp], self.den)
 
     def truncate(self, trunc) -> "LaurentSeries":
         if trunc > self.trunc:
             raise TruncationError("cannot extend a truncated series")
-        return LaurentSeries(self.var, self.center, self.min_exp, self.coeffs, trunc)
-
-    def shift(self, k) -> "LaurentSeries":
-        """Multiply by var^k."""
-        return LaurentSeries(
-            self.var, self.center, self.min_exp + k, self.coeffs, self.trunc + k
-        )
+        return self._make(self.var, self.center, self.min_exp, self.nums, self.den, trunc)
 
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -466,19 +492,20 @@ class LaurentSeries:
         self._check_compat(other)
         trunc = min(self.trunc, other.trunc)
         lo = min(self.min_exp, other.min_exp)
-        out = [Fraction(0)] * (trunc - lo)
+        den = lcm(self.den, other.den)
+        out = [0] * (trunc - lo)
         for s in (self, other):
-            for i, c in enumerate(s.coeffs):
-                e = s.min_exp + i
-                if e < trunc:
-                    out[e - lo] += c
-        return LaurentSeries(self.var, self.center, lo, out, trunc)
+            f = den // s.den
+            for i, v in enumerate(s.nums[: max(trunc - s.min_exp, 0)], s.min_exp - lo):
+                out[i] += v * f
+        return self._make(self.var, self.center, lo, out, den, trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentSeries(
-            self.var, self.center, self.min_exp, [-c for c in self.coeffs], self.trunc
+        return self._make(
+            self.var, self.center, self.min_exp, [-v for v in self.nums], self.den,
+            self.trunc,
         )
 
     def __sub__(self, other):
@@ -492,50 +519,58 @@ class LaurentSeries:
     def __mul__(self, other):
         if not isinstance(other, LaurentSeries):
             c = Fraction(other)
-            return LaurentSeries(
+            return self._make(
                 self.var, self.center, self.min_exp,
-                [c * v for v in self.coeffs], self.trunc,
+                [c.numerator * v for v in self.nums], self.den * c.denominator,
+                self.trunc,
             )
         self._check_compat(other)
-        if self.is_zero() or other.is_zero():
-            # A zero factor still cannot promise precision beyond its window.
-            trunc = min(self.min_exp + other.trunc, other.min_exp + self.trunc)
-            return LaurentSeries.zero(self.var, self.center, trunc)
         trunc = min(self.min_exp + other.trunc, other.min_exp + self.trunc)
+        if not self.nums or not other.nums:
+            # A zero factor still cannot promise precision beyond its window.
+            return LaurentSeries.zero(self.var, self.center, trunc)
         lo = self.min_exp + other.min_exp
-        out = [Fraction(0)] * (trunc - lo)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            ea = self.min_exp + i
-            for j, b in enumerate(other.coeffs):
-                e = ea + other.min_exp + j
-                if e >= trunc:
-                    break
-                out[e - lo] += a * b
-        return LaurentSeries(self.var, self.center, lo, out, trunc)
+        # Both factors are padded to their truncation, so the product's
+        # window trunc - lo is no longer than either of them.
+        a = self.nums
+        b = other.nums[::-1]
+        last = len(b) - 1
+        out = [sum(map(mul, a, b[last - k:])) for k in range(trunc - lo)]
+        return self._make(self.var, self.center, lo, out, self.den * other.den, trunc)
 
     __rmul__ = __mul__
 
     def invert(self) -> "LaurentSeries":
-        """Multiplicative inverse; requires a nonzero leading coefficient."""
-        if not self.coeffs or self.coeffs[0] == 0:
+        """Multiplicative inverse; requires a nonzero leading coefficient.
+
+        Fraction-free: with a = nums, the integers B_0 = 1 and
+        B_r = -sum_{j>=1} a_j a_0^(j-1) B_(r-j) are a_0^(r+1) times the
+        coefficients of (sum_i a_i t^i)^-1."""
+        if not self.nums:
             raise ZeroDivisionError("invert requires a nonzero leading coefficient")
-        n = len(self.coeffs)
-        lead = self.coeffs[0]
-        u = [c / lead for c in self.coeffs]
-        inv = [Fraction(0)] * n
-        inv[0] = Fraction(1)
-        for r in range(1, n):
-            s = Fraction(0)
-            for j in range(1, r + 1):
-                s += u[j] * inv[r - j]
-            inv[r] = -s
-        inv = [c / lead for c in inv]
+        a = self.nums
+        a0 = a[0]
+        n = len(a)
+        scaled = []  # a_j a_0^(j-1) for j >= 1
+        p = 1
+        for v in a[1:]:
+            scaled.append(v * p)
+            p *= a0
+        B = [1]
+        for _ in range(1, n):
+            B.append(-sum(map(mul, scaled, reversed(B))))
+        # coefficient r is den B_r / a_0^(r+1) = den B_r a_0^(n-1-r) / a_0^n
+        out = [0] * n
+        p = self.den
+        for r in range(n - 1, -1, -1):
+            out[r] = B[r] * p
+            p *= a0
+        den = p // self.den
+        if den < 0:
+            out = [-v for v in out]
+            den = -den
         # Known to relative order n, centred at exponent -min_exp.
-        return LaurentSeries(
-            self.var, self.center, -self.min_exp, inv, -self.min_exp + n
-        )
+        return self._make(self.var, self.center, -self.min_exp, out, den, -self.min_exp + n)
 
     def __truediv__(self, other):
         if isinstance(other, LaurentSeries):
@@ -543,24 +578,23 @@ class LaurentSeries:
         return self * (Fraction(1) / Fraction(other))
 
     def deriv(self) -> "LaurentSeries":
-        out = []
-        for i, c in enumerate(self.coeffs):
-            e = self.min_exp + i
-            out.append(c * e)
-        return LaurentSeries(self.var, self.center, self.min_exp - 1, out, self.trunc - 1)
+        m = self.min_exp
+        return self._make(
+            self.var, self.center, m - 1,
+            [v * e for e, v in enumerate(self.nums, m)], self.den, self.trunc - 1,
+        )
 
     def integ(self) -> "LaurentSeries":
         """Antiderivative with zero constant term; errors on a 1/x term."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            e = self.min_exp + i
-            if e == -1:
-                if c != 0:
-                    raise ValueError("antiderivative of 1/x term is not a Laurent series")
-                out.append(Fraction(0))
-            else:
-                out.append(c / (e + 1))
-        return LaurentSeries(self.var, self.center, self.min_exp + 1, out, self.trunc + 1)
+        pairs = [(v, e + 1) for e, v in enumerate(self.nums, self.min_exp)]
+        if any(v and not k for v, k in pairs):
+            raise ValueError("antiderivative of 1/x term is not a Laurent series")
+        # k = e + 1 divides the common multiplier for every nonzero term.
+        f = lcm(*(k for v, k in pairs if v))
+        out = [v * f // k if v else 0 for v, k in pairs]
+        return self._make(
+            self.var, self.center, self.min_exp + 1, out, self.den * f, self.trunc + 1
+        )
 
     def compose(self, inner: "LaurentSeries") -> "LaurentSeries":
         """self(inner) for a power-series self (min_exp >= 0) and inner with

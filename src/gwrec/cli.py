@@ -52,6 +52,8 @@ class Config:
     def load(cls, path) -> "Config":
         with open(path) as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict) or not isinstance(obj.get("atoms", {}), dict):
+            raise UsageError(f"{path}: a config is a JSON object with an object of atoms")
         atoms = {}
         for name, val in obj.get("atoms", {}).items():
             try:
@@ -349,7 +351,9 @@ def main(argv=None) -> int:
     except MissingAtomError as exc:
         print(f"error: no value assigned to atom {exc.args[0]}", file=sys.stderr)
         return 2
-    except (UsageError, CacheConflictError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
+        # UsageError and CacheConflictError are ValueErrors; an OSError is an
+        # unreadable or unwritable --config or --cache path.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -94,8 +94,6 @@ class _Chart:
         self.T = T
         c = str(alpha)
         self.center = c
-        t = LaurentSeries("t", c, 1, [1], T)
-        self.t = t
         # zhat(t) = 1/(alpha + t)
         self.zhat = LaurentSeries(
             "t", c, 0, [(-1) ** r * alpha ** (r + 1) for r in range(T)], T
@@ -210,55 +208,11 @@ class SpectralCurve:
     # ------------------------------------------------------------------
 
     def _recurse(self, g, n) -> PoleBasisDifferential:
-        spect = list(range(1, n))
-        T = 12 * g + 4 * n + 10
         bound = 6 * g - 4 + 2 * n
-        out: dict = {}
-        for alpha in (1, -1):
-            ch = self.chart(alpha, T)
-            bracket: dict = {}
-
-            def add(factor):
-                for k, s in factor.items():
-                    bracket[k] = bracket.get(k, ch.zero()) + s
-
-            if g >= 1:
-                if g == 1 and n == 1:
-                    # The genus-reducing term degenerates to the Cauchy
-                    # kernel evaluated on the two x-preimages.
-                    zmzhat = ch.z - ch.zhat
-                    w = ch.dzhat * (zmzhat * zmzhat).invert()
-                    add({(): w})
-                else:
-                    add(self._stored_factor(g - 1, ["z", "zhat"], spect, ch, bound))
-            for g1 in range(g + 1):
-                g2 = g - g1
-                for r in range(len(spect) + 1):
-                    for I in combinations(range(len(spect)), r):
-                        J = [i for i in range(len(spect)) if i not in I]
-                        gI = [spect[i] for i in I]
-                        gJ = [spect[i] for i in J]
-                        if g1 == 0 and not gI:
-                            continue
-                        if g2 == 0 and not gJ:
-                            continue
-                        left = self._piece(g1, "z", gI, ch, bound)
-                        right = self._piece(g2, "zhat", gJ, ch, bound)
-                        add(_mul_factors(left, right, ch))
-            for skey, w in bracket.items():
-                if w.is_zero():
-                    continue
-                jmax = 2 - w.min_exp
-                for j in range(2, jmax + 1):
-                    res = (ch.kernel(j) * w).residue()
-                    if res:
-                        assign = [None] * n
-                        assign[0] = (alpha, j)
-                        for idx, ak in skey:
-                            assign[idx] = ak
-                        akey = tuple(assign)
-                        out[akey] = out.get(akey, Fraction(0)) + res
-        out = {a: c for a, c in out.items() if c}
+        out = self._chart_terms(g, n, 1)
+        # The chart at -1 mirrors the one at +1 under z -> -z: negating every
+        # a_i multiplies a coefficient by (-1)^(k_1 + ... + k_n).
+        out.update(_reflect(out))
         for a in out:
             for _, k in a:
                 if k < 2:
@@ -268,6 +222,58 @@ class SpectralCurve:
                         f"pole order {k} beyond the bound {bound} at (g, n) = ({g}, {n})"
                     )
         return PoleBasisDifferential(g, n, out)
+
+    def _chart_terms(self, g, n, alpha) -> dict:
+        """The nonzero coefficients of omega^g_n whose first pole sits at
+        alpha, from the residue at that branch point."""
+        spect = list(range(1, n))
+        T = 12 * g + 4 * n + 10
+        bound = 6 * g - 4 + 2 * n
+        out: dict = {}
+        ch = self.chart(alpha, T)
+        bracket: dict = {}
+
+        def add(factor):
+            for k, s in factor.items():
+                bracket[k] = bracket.get(k, ch.zero()) + s
+
+        if g >= 1:
+            if g == 1 and n == 1:
+                # The genus-reducing term degenerates to the Cauchy
+                # kernel evaluated on the two x-preimages.
+                zmzhat = ch.z - ch.zhat
+                w = ch.dzhat * (zmzhat * zmzhat).invert()
+                add({(): w})
+            else:
+                add(self._stored_factor(g - 1, ["z", "zhat"], spect, ch, bound))
+        for g1 in range(g + 1):
+            g2 = g - g1
+            for r in range(len(spect) + 1):
+                for I in combinations(range(len(spect)), r):
+                    J = [i for i in range(len(spect)) if i not in I]
+                    gI = [spect[i] for i in I]
+                    gJ = [spect[i] for i in J]
+                    if g1 == 0 and not gI:
+                        continue
+                    if g2 == 0 and not gJ:
+                        continue
+                    left = self._piece(g1, "z", gI, ch, bound)
+                    right = self._piece(g2, "zhat", gJ, ch, bound)
+                    add(_mul_factors(left, right, ch))
+        for skey, w in bracket.items():
+            if w.is_zero():
+                continue
+            jmax = 2 - w.min_exp
+            for j in range(2, jmax + 1):
+                res = (ch.kernel(j) * w).residue()
+                if res:
+                    assign = [None] * n
+                    assign[0] = (alpha, j)
+                    for idx, ak in skey:
+                        assign[idx] = ak
+                    akey = tuple(assign)
+                    out[akey] = out.get(akey, Fraction(0)) + res
+        return {a: c for a, c in out.items() if c}
 
     def _piece(self, gp, kind, gvars, ch, bound):
         npts = len(gvars) + 1
@@ -309,6 +315,14 @@ class SpectralCurve:
                 series = ch.dzhat * (r + 1) * ch.s_pow(r)
             out[((gvar, (ch.alpha, r + 2)),)] = series
         return out
+
+
+def _reflect(terms) -> dict:
+    """The mirror image of pole-basis terms under z -> -z."""
+    return {
+        tuple((-a, k) for a, k in assign): -c if sum(k for _, k in assign) % 2 else c
+        for assign, c in terms.items()
+    }
 
 
 def _mul_factors(f1, f2, ch):

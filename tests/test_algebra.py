@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gwrec.algebra import (
     AtomProductError,
@@ -218,3 +220,161 @@ class TestLaurentSeries:
         back = s.integ().deriv()
         for e in range(0, back.trunc):
             assert back.coefficient(e) == s.coefficient(e)
+
+
+# ----------------------------------------------------------------------
+# The integer kernel of LaurentSeries against a plain-Fraction reference.
+# A reference series is a triple (min_exp, coeffs, trunc) in normal form:
+# no leading zero, coefficients known for min_exp <= e < trunc, and
+# min_exp == trunc with no coefficients for the zero series.
+
+
+def _ref_norm(min_exp, coeffs, trunc):
+    coeffs = [Fraction(c) for c in coeffs][: trunc - min_exp]
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+        min_exp += 1
+    if not coeffs:
+        return (trunc, [], trunc)
+    return (min_exp, coeffs + [Fraction(0)] * (trunc - min_exp - len(coeffs)), trunc)
+
+
+def _ref_add(a, b):
+    trunc = min(a[2], b[2])
+    lo = min(a[0], b[0])
+    out = [Fraction(0)] * (trunc - lo)
+    for m, cs, _ in (a, b):
+        for i, c in enumerate(cs):
+            if m + i < trunc:
+                out[m + i - lo] += c
+    return _ref_norm(lo, out, trunc)
+
+
+def _ref_mul(a, b):
+    trunc = min(a[0] + b[2], b[0] + a[2])
+    lo = a[0] + b[0]
+    out = [Fraction(0)] * max(trunc - lo, 0)
+    for i, x in enumerate(a[1]):
+        for j, y in enumerate(b[1]):
+            if lo + i + j < trunc:
+                out[i + j] += x * y
+    return _ref_norm(lo, out, trunc)
+
+
+def _ref_invert(a):
+    m, cs, _ = a
+    if not cs:
+        raise ZeroDivisionError
+    inv = [1 / cs[0]]
+    for r in range(1, len(cs)):
+        inv.append(-sum(cs[j] * inv[r - j] for j in range(1, r + 1)) / cs[0])
+    return _ref_norm(-m, inv, -m + len(cs))
+
+
+def _ref_deriv(a):
+    m, cs, trunc = a
+    return _ref_norm(m - 1, [c * (m + i) for i, c in enumerate(cs)], trunc - 1)
+
+
+def _ref_integ(a):
+    m, cs, trunc = a
+    out = []
+    for i, c in enumerate(cs):
+        if m + i == -1:
+            if c:
+                raise ValueError
+            out.append(Fraction(0))
+        else:
+            out.append(c / (m + i + 1))
+    return _ref_norm(m + 1, out, trunc + 1)
+
+
+def _ref_residue(a):
+    m, cs, trunc = a
+    if trunc <= -1:
+        raise TruncationError
+    return cs[-1 - m] if m <= -1 else Fraction(0)
+
+
+_scalars = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.fractions(min_value=-12, max_value=12, max_denominator=10),
+)
+
+
+@st.composite
+def _series_args(draw):
+    """Constructor arguments, zeros and negative heads included."""
+    lo = draw(st.integers(-4, 3))
+    coeffs = draw(st.lists(_scalars, max_size=7))
+    trunc = lo + draw(st.integers(0, len(coeffs) + 2))
+    return lo, coeffs, trunc
+
+
+def _build(args):
+    lo, coeffs, trunc = args
+    return LaurentSeries("t", "0", lo, coeffs, trunc), _ref_norm(lo, coeffs, trunc)
+
+
+def _state(s):
+    assert all(type(c) is Fraction for c in s.coeffs)
+    assert s.den > 0
+    return (s.min_exp, s.coeffs, s.trunc)
+
+
+def _same_outcome(op, ref, s, ra):
+    try:
+        want = ref(ra)
+    except (ZeroDivisionError, ValueError, TruncationError) as exc:
+        with pytest.raises(type(exc)):
+            op(s)
+        return
+    got = op(s)
+    assert (got if isinstance(got, Fraction) else _state(got)) == want
+
+
+class TestLaurentKernel:
+    @given(_series_args())
+    def test_construction(self, a):
+        s, ref = _build(a)
+        assert _state(s) == ref
+        assert s.is_zero() == (not ref[1])
+
+    @given(_series_args(), _series_args())
+    def test_add_and_sub(self, a, b):
+        (s, ra), (t, rb) = _build(a), _build(b)
+        assert _state(s + t) == _ref_add(ra, rb)
+        neg = (rb[0], [-c for c in rb[1]], rb[2])
+        assert _state(s - t) == _ref_add(ra, neg)
+
+    @given(_series_args(), _series_args())
+    def test_mul(self, a, b):
+        (s, ra), (t, rb) = _build(a), _build(b)
+        assert _state(s * t) == _ref_mul(ra, rb)
+
+    @given(_series_args(), _scalars)
+    def test_scalar_mul_and_add(self, a, c):
+        s, ra = _build(a)
+        c = Fraction(c)
+        assert _state(s * c) == _ref_norm(ra[0], [x * c for x in ra[1]], ra[2])
+        assert _state(c * s) == _state(s * c)
+        assert _state(s + c) == _ref_add(ra, _ref_norm(0, [c], ra[2]))
+
+    @given(_series_args())
+    def test_invert_deriv_integ_residue(self, a):
+        s, ra = _build(a)
+        _same_outcome(LaurentSeries.invert, _ref_invert, s, ra)
+        _same_outcome(LaurentSeries.deriv, _ref_deriv, s, ra)
+        _same_outcome(LaurentSeries.integ, _ref_integ, s, ra)
+        _same_outcome(LaurentSeries.residue, _ref_residue, s, ra)
+
+    @given(_series_args())
+    def test_coefficient_lookup(self, a):
+        s, (m, cs, trunc) = _build(a)
+        for e in range(m - 2, trunc):
+            want = cs[e - m] if e >= m else Fraction(0)
+            got = s.coefficient(e)
+            assert type(got) is Fraction and got == want
+        with pytest.raises(TruncationError):
+            s.coefficient(trunc)

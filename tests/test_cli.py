@@ -188,6 +188,30 @@ class TestConfig:
         with pytest.raises(UsageError):
             Config.load(cfg)
 
+    def test_missing_config_is_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        rc, recs, err = run(capsys, "--config", str(missing), "psi", "--g", "1", "--beta", "1")
+        assert rc == 2
+        assert recs == []
+        assert err.startswith("error:") and "missing.json" in err
+
+    @pytest.mark.parametrize("body", [[], {"atoms": ["x"]}])
+    def test_non_object_config_is_usage_error(self, capsys, tmp_path, body):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        with pytest.raises(UsageError):
+            Config.load(cfg)
+        rc, recs, err = run(capsys, "--config", str(cfg), "psi", "--g", "1", "--beta", "1")
+        assert rc == 2
+        assert recs == []
+        assert err.startswith("error:")
+
+    def test_cache_directory_is_usage_error(self, capsys, tmp_path):
+        rc, recs, err = run(capsys, "--cache", str(tmp_path), "psi", "--g", "1", "--beta", "1")
+        assert rc == 2
+        assert recs == []
+        assert err.startswith("error:")
+
 
 class TestGoldenOutputs:
     def test_fit_genus1_table_row(self, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -58,6 +60,40 @@ class TestRecursion:
         )
         assert w.coefficient(((1, 10),)) == want
         assert w.coefficient(((-1, 10),)) == want
+
+
+class TestMirrorCharts:
+    """omega only runs the chart at +1 and reflects it; these run the chart
+    at -1 directly and hold it against the reflection."""
+
+    @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 1)])
+    def test_minus_chart_is_the_reflected_plus_chart(self, g, n):
+        curve = SpectralCurve.for_target(g, n)
+        plus = curve._chart_terms(g, n, 1)
+        minus = curve._chart_terms(g, n, -1)
+        assert plus and all(a[0][0] == 1 for a in plus)
+        reflected = {
+            tuple((-a, k) for a, k in assign): c * (-1) ** sum(k for _, k in assign)
+            for assign, c in plus.items()
+        }
+        assert minus == reflected
+        assert curve.omega(g, n).coeffs == {**plus, **minus}
+
+
+# sha256 of json.dumps(omega(g, n).to_obj(), sort_keys=True), computed with
+# the recursion run on both charts in Fraction arithmetic.
+GOLDEN_OMEGA = {
+    (1, 3): "2aaa849fed9cc478a9c5ce1f1473f753904f41b2b93d12fa6682198533be3d1f",
+    (2, 1): "8e3abf8445c5864e505ebe77fc4093c8e6b4e8104a08303386eed0c2174f0002",
+    (2, 2): "5748c4a37a1b10c370c0e87fcea58504cadcce39b6d002aaf2e8eefe4208c501",
+    (0, 5): "330d0b4834a8b9f531cc3e10c183a7541a95b0405fc6f53e38e8f096cc16adf3",
+}
+
+
+@pytest.mark.parametrize("g,n", sorted(GOLDEN_OMEGA))
+def test_omega_golden_digest(g, n):
+    record = json.dumps(eo_invariant(g, n).to_obj(), sort_keys=True)
+    assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN_OMEGA[(g, n)]
 
 
 class TestExpansion:
