@@ -35,17 +35,18 @@ def ceil_div(a: int, b: int) -> int:
 def c_factor(N: int, m: int) -> int:
     """The ceiling factorial c_N(m) = ceil(m/N) * c_N(m-1), c_N(0) = 1.
 
-    Generalises the factorial: c_1(m) = m!.  For m > 0 it has the closed
-    form ceil(m/N)!^N * ceil(m/N)^(m - N*ceil(m/N)), checked in the tests.
+    Generalises the factorial: c_1(m) = m!.  The factors are N ones, N
+    twos, ..., N copies of q - 1 and m - N(q-1) copies of q = ceil(m/N),
+    so c_N(m) = (q-1)!^N * q^(m - N(q-1)).
     """
     if N < 1:
         raise ValueError("c_factor needs N >= 1")
     if m < 0:
         raise ValueError("c_factor needs m >= 0")
-    out = 1
-    for i in range(1, m + 1):
-        out *= ceil_div(i, N)
-    return out
+    if m == 0:
+        return 1
+    q = ceil_div(m, N)
+    return factorial(q - 1) ** N * q ** (m - N * (q - 1))
 
 
 def c_factor_closed(N: int, m: int) -> Fraction:
@@ -86,13 +87,22 @@ class SymRat:
     __slots__ = ("scalar", "atoms")
 
     def __init__(self, scalar=0, atoms=None):
-        self.scalar = Fraction(scalar)
+        self.scalar = scalar if type(scalar) is Fraction else Fraction(scalar)
         self.atoms = {}
         if atoms:
             for name, c in atoms.items():
                 c = Fraction(c)
                 if c:
                     self.atoms[name] = c
+
+    @classmethod
+    def _make(cls, scalar: Fraction, atoms=None) -> "SymRat":
+        """Build from a Fraction scalar and Fraction atom coefficients
+        without coercing them again; zero coefficients are still dropped."""
+        out = object.__new__(cls)
+        out.scalar = scalar
+        out.atoms = {k: v for k, v in atoms.items() if v} if atoms else {}
+        return out
 
     @classmethod
     def atom(cls, name: str, coeff=1) -> "SymRat":
@@ -124,19 +134,27 @@ class SymRat:
     def _coercible(other):
         return isinstance(other, (SymRat, int, Fraction))
 
+    # Atom-free operands take plain Fraction arithmetic: an int or Fraction
+    # combined with a Fraction scalar always yields a Fraction.
+
     def __add__(self, other):
-        if not self._coercible(other):
+        if isinstance(other, SymRat):
+            scalar, atoms = other.scalar, other.atoms
+        elif isinstance(other, (int, Fraction)):
+            scalar, atoms = other, None
+        else:
             return NotImplemented
-        o = SymRat.of(other)
-        atoms = dict(self.atoms)
-        for k, v in o.atoms.items():
-            atoms[k] = atoms.get(k, Fraction(0)) + v
-        return SymRat(self.scalar + o.scalar, atoms)
+        if not atoms:
+            return SymRat._make(self.scalar + scalar, self.atoms)
+        out = dict(self.atoms)
+        for k, v in atoms.items():
+            out[k] = out.get(k, Fraction(0)) + v
+        return SymRat._make(self.scalar + scalar, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymRat(-self.scalar, {k: -v for k, v in self.atoms.items()})
+        return SymRat._make(-self.scalar, {k: -v for k, v in self.atoms.items()})
 
     def __sub__(self, other):
         if not self._coercible(other):
@@ -155,10 +173,11 @@ class SymRat:
             if other.atoms:
                 return other * self.scalar
             other = other.scalar
-        if not isinstance(other, (int, Fraction)):
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        c = Fraction(other)
-        return SymRat(self.scalar * c, {k: v * c for k, v in self.atoms.items()})
+        return SymRat._make(
+            self.scalar * other, {k: v * other for k, v in self.atoms.items()}
+        )
 
     __rmul__ = __mul__
 
@@ -166,6 +185,8 @@ class SymRat:
         return self * (Fraction(1) / Fraction(other))
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return not self.atoms and self.scalar == other
         o = SymRat.of(other)
         return self.scalar == o.scalar and self.atoms == o.atoms
 
@@ -480,6 +501,20 @@ class LaurentSeries:
         if self.min_exp > -1:
             return Fraction(0)
         return Fraction(self.nums[-1 - self.min_exp], self.den)
+
+    def product_residue(self, other: "LaurentSeries") -> Fraction:
+        """(self * other).residue() from the one convolution term it reads,
+        without building the product; raises exactly when that would."""
+        self._check_compat(other)
+        if min(self.min_exp + other.trunc, other.min_exp + self.trunc) <= -1:
+            raise TruncationError("series truncated before exponent -1")
+        # Index of exponent -1 in the product; it lies inside the product's
+        # window, so within both (padded) factors.
+        k = -1 - self.min_exp - other.min_exp
+        if k < 0 or not self.nums or not other.nums:
+            return Fraction(0)
+        s = sum(map(mul, self.nums[: k + 1], reversed(other.nums[: k + 1])))
+        return Fraction(s, self.den * other.den)
 
     def truncate(self, trunc) -> "LaurentSeries":
         if trunc > self.trunc:

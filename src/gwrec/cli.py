@@ -8,7 +8,9 @@ parse errors.  All output is line-delimited JSON records.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -85,9 +87,18 @@ def load_cache(path) -> dict:
 
 
 def save_cache(records, path):
-    with open(path, "w") as fh:
-        for key in sorted(records):
-            fh.write(json.dumps({"key": key, "value": records[key].to_obj()}) + "\n")
+    """Write the records to a temporary file beside `path` and rename it
+    over `path`, so a failed write leaves the previous cache intact."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            for key in sorted(records):
+                fh.write(json.dumps({"key": key, "value": records[key].to_obj()}) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def attach_cache(engine: Engine, path):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .algebra import SymRat, c_factor, compositions
+from .algebra import ZERO, SymRat, c_factor, compositions
 
 Insertion = tuple  # (m, k): descendant level and class exponent
 
@@ -39,6 +39,12 @@ class InvariantKey:
     def make(cls, N, g, insertions) -> "InvariantKey":
         ins = tuple(sorted((int(m), int(k)) for m, k in insertions))
         return cls(int(N), int(g), ins)
+
+    @classmethod
+    def _of(cls, N, g, insertions) -> "InvariantKey":
+        """The recursions' constructor: the insertions are already pairs of
+        ints, so they are only sorted, not coerced or checked."""
+        return cls(N, g, tuple(sorted(insertions)))
 
     @property
     def n(self) -> int:
@@ -66,11 +72,16 @@ class InvariantKey:
         return cls.make(int(parts["N"]), int(parts["g"]), ins)
 
 
+def _dim_excess(N: int, g: int, insertions) -> int:
+    """Insertion degree minus the virtual dimension at degree zero: N + 1
+    times the map degree the dimension constraint forces."""
+    return sum(m + k for m, k in insertions) - (N - 3) * (1 - g) - len(insertions)
+
+
 def degree_of(N: int, g: int, insertions):
     """The map degree forced by the dimension constraint, or None when no
     non-negative integer degree exists (the invariant is then zero)."""
-    total = sum(m + k for m, k in insertions)
-    num = total - (N - 3) * (1 - g) - len(insertions)
+    num = _dim_excess(N, g, insertions)
     if num % (N + 1):
         return None
     d = num // (N + 1)
@@ -83,6 +94,33 @@ def _without(ins, idx):
 
 def _replace(ins, idx, new):
     return ins[:idx] + (new,) + ins[idx + 1 :]
+
+
+def _split_keys(N, left, g, right):
+    """The two factor keys of one recursion splitting: genus 0 with
+    left + tau_0(w^j) and genus g with right + tau_0(w^(N-j)), for the class
+    j that gives both a non-negative integer degree; None when no j does.
+
+    Each candidate j is tested on the integer dimension excesses, so keys
+    are built only for the hit."""
+    a = _dim_excess(N, 0, left) - 1
+    b = _dim_excess(N, g, right) + N - 1
+    M = N + 1
+    hits = [
+        j for j in range(M)
+        if a + j >= 0 and b - j >= 0 and not (a + j) % M and not (b - j) % M
+    ]
+    if len(hits) > 1:
+        raise SplitAmbiguityError(
+            f"splitting class not unique: j in {hits} for {left} | {right}"
+        )
+    if not hits:
+        return None
+    j = hits[0]
+    return (
+        InvariantKey._of(N, 0, left + [(0, j)]),
+        InvariantKey._of(N, g, right + [(0, N - j)]),
+    )
 
 
 def _reduction_valid(d, g, n) -> bool:
@@ -146,7 +184,7 @@ class Engine:
         n = len(ins)
         d = degree_of(N, g, ins)
         if d is None:
-            return SymRat(0)
+            return ZERO
 
         if (0, 0) in ins and _reduction_valid(d, g, n):
             return self._string(key)
@@ -163,7 +201,7 @@ class Engine:
             if n <= 2:
                 return SymRat(self._g0_small(N, ins, d))
             if max(m for m, _ in ins) >= 1:
-                total = SymRat(0)
+                total = ZERO
                 for coeff, k1, k2 in self.trr0_expand(N, g, ins, self._pivot(ins)):
                     total = total + coeff * (
                         self._invariant(k1).rational() * self._invariant(k2)
@@ -176,7 +214,7 @@ class Engine:
 
         if g >= 2 and max((m for m, _ in ins), default=0) >= 3 * g - 1:
             piv = self._pivot(ins)
-            total = SymRat(0)
+            total = ZERO
             for coeff, bb, gkey in self.trrg_expand(N, g, ins, piv):
                 total = total + coeff * (bb * self._invariant(gkey))
             return total
@@ -197,11 +235,11 @@ class Engine:
     def _string(self, key: InvariantKey) -> SymRat:
         N, g, ins = key.N, key.g, key.ins
         rest = _without(ins, ins.index((0, 0)))
-        total = SymRat(0)
+        total = ZERO
         for i, (m, k) in enumerate(rest):
             if m >= 1:
                 total = total + self._invariant(
-                    InvariantKey.make(N, g, _replace(rest, i, (m - 1, k)))
+                    InvariantKey._of(N, g, _replace(rest, i, (m - 1, k)))
                 )
         return total
 
@@ -212,7 +250,7 @@ class Engine:
         for i, (m, k) in enumerate(rest):
             if m >= 1 and k < N:
                 total = total + self._invariant(
-                    InvariantKey.make(N, g, _replace(rest, i, (m - 1, k + 1)))
+                    InvariantKey._of(N, g, _replace(rest, i, (m - 1, k + 1)))
                 )
         return total
 
@@ -308,7 +346,7 @@ class Engine:
         insertion.  The two co-pivots are the first two remaining insertions
         in canonical order; every splitting of the rest is distributed over
         the two factors and the splitting class is forced by dimension."""
-        ins = tuple(sorted(insertions))
+        ins = tuple(sorted((int(m), int(k)) for m, k in insertions))
         if g != 0:
             raise ValueError("trr0_expand is genus-0 only")
         if len(ins) < 3:
@@ -324,18 +362,9 @@ class Engine:
             for U in combinations(range(len(free)), r):
                 left = [(m - 1, k)] + [free[i] for i in U]
                 right = list(co) + [free[i] for i in range(len(free)) if i not in U]
-                hits = []
-                for j in range(N + 1):
-                    key1 = InvariantKey.make(N, 0, left + [(0, j)])
-                    key2 = InvariantKey.make(N, 0, right + [(0, N - j)])
-                    if key1.degree() is not None and key2.degree() is not None:
-                        hits.append((key1, key2))
-                if len(hits) > 1:
-                    raise SplitAmbiguityError(
-                        f"splitting class not unique for {ins} with U={U}"
-                    )
-                if hits:
-                    terms.append((Fraction(1),) + hits[0])
+                keys = _split_keys(N, left, 0, right)
+                if keys:
+                    terms.append((Fraction(1),) + keys)
         return terms
 
     # ------------------------------------------------------------------
@@ -346,27 +375,20 @@ class Engine:
         piv = self._pivot(ins)
         m, k = ins[piv]
         rest = _without(ins, piv)
-        total = SymRat(0)
+        total = ZERO
         for r in range(len(rest) + 1):
             for U in combinations(range(len(rest)), r):
                 left = [(m - 1, k)] + [rest[i] for i in U]
                 right = [rest[i] for i in range(len(rest)) if i not in U]
-                hits = []
-                for j in range(N + 1):
-                    key0 = InvariantKey.make(N, 0, left + [(0, j)])
-                    key1 = InvariantKey.make(N, 1, right + [(0, N - j)])
-                    if key0.degree() is not None and key1.degree() is not None:
-                        hits.append((key0, key1))
-                if len(hits) > 1:
-                    raise SplitAmbiguityError(f"splitting class not unique in {key}")
-                if hits:
-                    key0, key1 = hits[0]
+                keys = _split_keys(N, left, 1, right)
+                if keys:
+                    key0, key1 = keys
                     total = total + self._invariant(key0).rational() * self._invariant(
                         key1
                     )
         # Contracted-handle term, 1/24 of the full dual-basis sum.
         for j in range(N + 1):
-            key0 = InvariantKey.make(
+            key0 = InvariantKey._of(
                 N, 0, list(rest) + [(m - 1, k), (0, j), (0, N - j)]
             )
             total = total + Fraction(1, 24) * self._invariant(key0).rational()
@@ -385,8 +407,9 @@ class Engine:
         """
         if beta < 0:
             raise ValueError("beta must be >= 0")
-        m, k = pivot
-        extras = tuple(sorted(extras))
+        # The chain factors' keys are built from these without coercion.
+        first_class, m, k = int(first_class), int(pivot[0]), int(pivot[1])
+        extras = tuple(sorted((int(a), int(b)) for a, b in extras))
         memo_key = (N, first_class, m, k, extras, beta)
         if memo_key in self._bb_memo:
             return self._bb_memo[memo_key]
@@ -431,7 +454,7 @@ class Engine:
                             factor_ins = [(0, c), (comp[i] + m, k)] + groups[i]
                             nxt = None
                         v = self._invariant(
-                            InvariantKey.make(N, 0, factor_ins)
+                            InvariantKey._of(N, 0, factor_ins)
                         ).rational()
                         if v == 0:
                             ok = False
@@ -445,7 +468,7 @@ class Engine:
     def _bb_rec(self, N, first_class, m, k, extras, beta) -> Fraction:
         if beta == 0:
             return self._invariant(
-                InvariantKey.make(N, 0, [(0, first_class), (m, k)] + list(extras))
+                InvariantKey._of(N, 0, [(0, first_class), (m, k)] + list(extras))
             ).rational()
         total = self.beta_bracket(N, first_class, (m + 1, k), extras, beta - 1)
         ne = len(extras)
@@ -455,7 +478,7 @@ class Engine:
                 right = [extras[i] for i in range(ne) if i not in U]
                 for i in range(N + 1):
                     f = self._invariant(
-                        InvariantKey.make(N, 0, [(0, N - i), (m, k)] + left)
+                        InvariantKey._of(N, 0, [(0, N - i), (m, k)] + left)
                     ).rational()
                     if f == 0:
                         continue
@@ -468,7 +491,7 @@ class Engine:
         """Terms of the genus-g recursion: chain bracket times a genus-g
         factor, summed over the split of the contact order 3g-2 and over all
         distributions of the remaining insertions."""
-        ins = tuple(sorted(insertions))
+        ins = tuple(sorted((int(m), int(k)) for m, k in insertions))
         if g < 1:
             raise ValueError("trrg_expand needs genus >= 1")
         m, k = ins[pivot_index]
@@ -486,7 +509,7 @@ class Engine:
                     left = tuple(rest[i] for i in U)
                     right = [rest[i] for i in range(len(rest)) if i not in U]
                     for j in range(N + 1):
-                        gkey = InvariantKey.make(N, g, right + [(alpha, j)])
+                        gkey = InvariantKey._of(N, g, right + [(alpha, j)])
                         if gkey.degree() is None:
                             continue
                         bb = self.beta_bracket(N, N - j, (mm, k), left, beta)

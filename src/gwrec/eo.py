@@ -198,7 +198,7 @@ class SpectralCurve:
         return self._charts[key]
 
     def omega(self, g, n) -> PoleBasisDifferential:
-        if n < 1 or 2 * g - 2 + n <= 0:
+        if g < 0 or n < 1 or 2 * g - 2 + n <= 0:
             raise ValueError(f"(g, n) = ({g}, {n}) is not in the stable range")
         key = (g, n)
         if key not in self._omegas:
@@ -265,7 +265,7 @@ class SpectralCurve:
                 continue
             jmax = 2 - w.min_exp
             for j in range(2, jmax + 1):
-                res = (ch.kernel(j) * w).residue()
+                res = ch.kernel(j).product_residue(w)
                 if res:
                     assign = [None] * n
                     assign[0] = (alpha, j)

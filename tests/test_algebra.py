@@ -56,6 +56,15 @@ class TestCFactor:
         with pytest.raises(ValueError):
             c_factor(2, -1)
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_closed_form_matches_literal_product(self, N):
+        literal = 1
+        for m in range(301):
+            if m:
+                literal *= -(-m // N)
+            got = c_factor(N, m)
+            assert type(got) is int and got == literal
+
 
 class TestSymRat:
     def test_resolve_linear(self):
@@ -378,3 +387,108 @@ class TestLaurentKernel:
             assert type(got) is Fraction and got == want
         with pytest.raises(TruncationError):
             s.coefficient(trunc)
+
+    @given(_series_args(), _series_args())
+    def test_product_residue(self, a, b):
+        (s, _), (t, _) = _build(a), _build(b)
+        try:
+            want = (s * t).residue()
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                s.product_residue(t)
+            return
+        got = s.product_residue(t)
+        assert type(got) is Fraction and got == want
+
+    def test_product_residue_needs_one_chart(self):
+        s = LaurentSeries("t", "0", -1, [1], 2)
+        with pytest.raises(ValueError):
+            s.product_residue(LaurentSeries("t", "1", -1, [1], 2))
+
+
+# ----------------------------------------------------------------------
+# SymRat against a plain-Fraction reference: a value is a pair
+# (scalar, {atom: coefficient}) with no zero coefficient.
+
+_ATOM_NAMES = ("gw[a]", "gw[b]", "gw[c]")
+
+
+@st.composite
+def _symrats(draw):
+    """SymRat constructor arguments; the atoms may be empty or zero."""
+    scalar = draw(_scalars)
+    atoms = draw(st.dictionaries(st.sampled_from(_ATOM_NAMES), _scalars, max_size=3))
+    return ("sym", scalar, atoms)
+
+
+_operands = st.one_of(st.integers(-9, 9), st.fractions(max_denominator=10), _symrats())
+
+
+def _value(x):
+    return SymRat(x[1], x[2]) if isinstance(x, tuple) else x
+
+
+def _sr_ref(x):
+    if isinstance(x, tuple):
+        return Fraction(x[1]), {k: Fraction(v) for k, v in x[2].items() if v}
+    return Fraction(x), {}
+
+
+def _sr_add(x, y):
+    atoms = dict(x[1])
+    for k, v in y[1].items():
+        atoms[k] = atoms.get(k, Fraction(0)) + v
+    return x[0] + y[0], {k: v for k, v in atoms.items() if v}
+
+
+def _sr_neg(x):
+    return -x[0], {k: -v for k, v in x[1].items()}
+
+
+def _sr_mul(x, y):
+    if x[1] and y[1]:
+        raise AtomProductError
+    if x[1]:
+        x, y = y, x
+    return x[0] * y[0], {k: x[0] * v for k, v in y[1].items() if x[0] * v}
+
+
+def _sr_state(v):
+    assert type(v) is SymRat
+    assert type(v.scalar) is Fraction
+    assert all(type(c) is Fraction and c != 0 for c in v.atoms.values())
+    return v.scalar, v.atoms
+
+
+class TestSymRatReference:
+    @given(_symrats(), _operands)
+    def test_ring_operations(self, x, y):
+        a, b = _value(x), _value(y)
+        ra, rb = _sr_ref(x), _sr_ref(y)
+        assert _sr_state(a) == ra
+        assert _sr_state(a + b) == _sr_add(ra, rb)
+        assert _sr_state(b + a) == _sr_add(ra, rb)
+        assert _sr_state(a - b) == _sr_add(ra, _sr_neg(rb))
+        assert _sr_state(b - a) == _sr_add(rb, _sr_neg(ra))
+        assert _sr_state(-a) == _sr_neg(ra)
+        try:
+            want = _sr_mul(ra, rb)
+        except AtomProductError:
+            with pytest.raises(AtomProductError):
+                a * b
+            with pytest.raises(AtomProductError):
+                b * a
+        else:
+            assert _sr_state(a * b) == want
+            assert _sr_state(b * a) == want
+
+    @given(_symrats(), _operands)
+    def test_equality(self, x, y):
+        a, b = _value(x), _value(y)
+        assert (a == b) == (_sr_ref(x) == _sr_ref(y))
+        assert (b == a) == (_sr_ref(x) == _sr_ref(y))
+
+    def test_fraction_scalar_kept_as_is(self):
+        q = Fraction(3, 7)
+        assert SymRat(q).scalar is q
+        assert type(SymRat(2).scalar) is Fraction

@@ -119,6 +119,13 @@ class TestVerifyCommands:
         rc = main(["verify", "bogus"])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [("eo",), ("verify", "pole")])
+    def test_negative_genus_is_usage_error(self, capsys, argv):
+        rc, recs, err = run(capsys, *argv, "--g", "-1", "--n", "5")
+        assert rc == 2
+        assert recs == []
+        assert err.startswith("error:") and "stable range" in err
+
 
 class TestPsiN0Commands:
     def test_psi(self, capsys):
@@ -179,6 +186,23 @@ class TestCacheIO:
         rc, recs, _ = run(capsys, "cache", "merge", str(a), str(b), "--out", str(out))
         assert rc == 0
         assert len(load_cache(out)) == 2
+
+    def test_failed_save_keeps_previous_cache(self, tmp_path):
+        class Unwritable(SymRat):
+            def to_obj(self):
+                raise RuntimeError("record cannot be serialised")
+
+        path = tmp_path / "cache.jsonl"
+        good = {"gw[N=1;g=0;ins=(2,1)]": SymRat(Fraction(1, 4))}
+        save_cache(dict(good, **{"gw[N=1;g=0;ins=(6,1)]": SymRat(Fraction(1, 576))}), path)
+        before = path.read_bytes()
+        # The unwritable record sorts after the good one, so the write fails
+        # partway through, after a prefix that differs from the old file.
+        bad = dict(good, **{"gw[N=1;g=0;ins=(4,1)]": Unwritable(Fraction(1, 36))})
+        with pytest.raises(RuntimeError):
+            save_cache(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
 
 
 class TestConfig:

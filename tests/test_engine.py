@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -9,6 +9,7 @@ from gwrec.engine import (
     DEFAULT_ENGINE,
     Engine,
     InvariantKey,
+    _split_keys,
     degree_of,
 )
 from gwrec.moduli import point_invariant
@@ -502,3 +503,75 @@ class TestConcurrency:
             )
         for key, got in zip(keys, results):
             assert got == E.invariant(*key)
+
+
+# ----------------------------------------------------------------------
+# The split filter against a key-by-key enumeration: for every class j,
+# build both factor keys and keep j when both have a degree.
+
+
+def _ref_split(N, left, g, right):
+    hits = []
+    for j in range(N + 1):
+        k0 = InvariantKey.make(N, 0, left + [(0, j)])
+        k1 = InvariantKey.make(N, g, right + [(0, N - j)])
+        if k0.degree() is not None and k1.degree() is not None:
+            hits.append((k0, k1))
+    assert len(hits) <= 1
+    return hits
+
+
+def _ref_splittings(head, fixed, free):
+    """(left, right) for every subset U of the free insertions: head plus
+    U on the left, the fixed insertions plus the rest on the right."""
+    for r in range(len(free) + 1):
+        for U in combinations(range(len(free)), r):
+            left = [head] + [free[i] for i in U]
+            right = list(fixed) + [free[i] for i in range(len(free)) if i not in U]
+            yield left, right
+
+
+def _grid(N, sizes):
+    pairs = [(m, k) for m in range(3) for k in range(N + 1)]
+    for n in sizes:
+        for ins in combinations_with_replacement(pairs, n):
+            if max(m for m, _ in ins) >= 1:
+                yield ins
+
+
+class TestSplitReference:
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_trr0_expand_terms(self, N):
+        for ins in _grid(N, (3, 4)):
+            for piv in range(len(ins)):
+                m, k = ins[piv]
+                if m < 1:
+                    continue
+                rest = ins[:piv] + ins[piv + 1 :]
+                want = [
+                    (Fraction(1),) + hit
+                    for left, right in _ref_splittings((m - 1, k), rest[:2], rest[2:])
+                    for hit in _ref_split(N, left, 0, right)
+                ]
+                assert E.trr0_expand(N, 0, ins, piv) == want, (N, ins, piv)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_genus1_split_terms(self, N):
+        for ins in _grid(N, (1, 2, 3)):
+            piv = Engine._pivot(ins)
+            m, k = ins[piv]
+            rest = ins[:piv] + ins[piv + 1 :]
+            total = SymRat(0)
+            for left, right in _ref_splittings((m - 1, k), (), rest):
+                want = _ref_split(N, left, 1, right)
+                got = _split_keys(N, left, 1, right)
+                assert ([got] if got else []) == want, (N, left, right)
+                for k0, k1 in want:
+                    total = total + E.invariant(N, 0, k0.ins).rational() * E.invariant(
+                        N, 1, k1.ins
+                    )
+            for j in range(N + 1):
+                handle = list(rest) + [(m - 1, k), (0, j), (0, N - j)]
+                total = total + Fraction(1, 24) * E.invariant(N, 0, handle).rational()
+            key = InvariantKey.make(N, 1, ins)
+            assert E._genus1_trr(key) == total, (N, ins)
