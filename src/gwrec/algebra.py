@@ -9,6 +9,7 @@ floating point enters anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial, gcd, lcm
 from operator import mul
 
@@ -219,7 +220,6 @@ class SymRat:
 
 
 ZERO = SymRat(0)
-ONE = SymRat(1)
 
 
 class MultiPoly:
@@ -516,11 +516,6 @@ class LaurentSeries:
         s = sum(map(mul, self.nums[: k + 1], reversed(other.nums[: k + 1])))
         return Fraction(s, self.den * other.den)
 
-    def truncate(self, trunc) -> "LaurentSeries":
-        if trunc > self.trunc:
-            raise TruncationError("cannot extend a truncated series")
-        return self._make(self.var, self.center, self.min_exp, self.nums, self.den, trunc)
-
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
             other = LaurentSeries.const(self.var, self.center, other, self.trunc)
@@ -631,22 +626,6 @@ class LaurentSeries:
             self.var, self.center, self.min_exp + 1, out, self.den * f, self.trunc + 1
         )
 
-    def compose(self, inner: "LaurentSeries") -> "LaurentSeries":
-        """self(inner) for a power-series self (min_exp >= 0) and inner with
-        positive valuation.  Horner evaluation, truncation tracked."""
-        if self.min_exp < 0:
-            raise ValueError("compose needs a power series on the outside")
-        if inner.min_exp < 1:
-            raise ValueError("compose needs positive valuation inside")
-        n_terms = len(self.coeffs)
-        trunc = min(inner.trunc, inner.min_exp * (self.min_exp + n_terms))
-        out = LaurentSeries.zero(inner.var, inner.center, trunc)
-        for c in reversed(self.coeffs):
-            out = out * inner.truncate(min(trunc, inner.trunc)) + c
-        for _ in range(self.min_exp):
-            out = out * inner
-        return out
-
     def eval_at(self, x0) -> Fraction:
         """Evaluate the known part at a rational point (truncation tail dropped)."""
         x0 = Fraction(x0)
@@ -687,3 +666,13 @@ def compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def bipartitions(items):
+    """Every split of `items` into (chosen, rest) lists, each keeping the
+    order of `items`.  Splits come by the size of the chosen part, then
+    lexicographically by the positions chosen."""
+    idx = range(len(items))
+    for r in range(len(items) + 1):
+        for U in combinations(idx, r):
+            yield [items[i] for i in U], [items[i] for i in idx if i not in U]

@@ -223,6 +223,8 @@ def cmd_verify(args, config, engine):
     elif sub == "pole":
         ok = _emit_report(pole_asymptotics_check(args.g, args.n))
     elif sub == "example-f":
+        if args.max_m < 3:
+            raise UsageError("example-f needs --max-m >= 3 to check any recursion step")
         ok = _verify_example_f(engine, args.max_m)
     else:
         raise UsageError(f"unknown verify subcommand {sub!r}")

@@ -8,16 +8,20 @@ primary survivors).  Genus-0 values are always plain rationals.
 The degree of a map is never stored: it is derived from the dimension
 constraint of the key and a key whose derived degree is fractional or
 negative evaluates to zero.
+
+Keys are tuples (N, g, ins).  Each recursion route is a generator that
+yields the keys it needs and receives their values; one loop runs the
+routes on an explicit stack, so the depth of a recursion chain is bounded
+by memory, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
+from typing import NamedTuple
 
-from .algebra import ZERO, SymRat, c_factor, compositions
+from .algebra import ZERO, SymRat, bipartitions, c_factor, compositions
 
 Insertion = tuple  # (m, k): descendant level and class exponent
 
@@ -26,10 +30,11 @@ class SplitAmbiguityError(AssertionError):
     """More than one splitting class passed the dimension filter."""
 
 
-@dataclass(frozen=True)
-class InvariantKey:
+class InvariantKey(NamedTuple):
     """Canonical identity of one bracket: target dimension, genus, and the
-    sorted multiset of insertions (m, k)."""
+    sorted multiset of insertions (m, k).  A plain tuple, so hashing and
+    equality run in C; the recursions build it directly from pairs of ints
+    that are already sorted, and `make` coerces and sorts outside input."""
 
     N: int
     g: int
@@ -39,12 +44,6 @@ class InvariantKey:
     def make(cls, N, g, insertions) -> "InvariantKey":
         ins = tuple(sorted((int(m), int(k)) for m, k in insertions))
         return cls(int(N), int(g), ins)
-
-    @classmethod
-    def _of(cls, N, g, insertions) -> "InvariantKey":
-        """The recursions' constructor: the insertions are already pairs of
-        ints, so they are only sorted, not coerced or checked."""
-        return cls(N, g, tuple(sorted(insertions)))
 
     @property
     def n(self) -> int:
@@ -118,8 +117,8 @@ def _split_keys(N, left, g, right):
         return None
     j = hits[0]
     return (
-        InvariantKey._of(N, 0, left + [(0, j)]),
-        InvariantKey._of(N, g, right + [(0, N - j)]),
+        InvariantKey(N, 0, tuple(sorted(left + [(0, j)]))),
+        InvariantKey(N, g, tuple(sorted(right + [(0, N - j)]))),
     )
 
 
@@ -130,8 +129,11 @@ def _reduction_valid(d, g, n) -> bool:
 
 
 class Engine:
-    """Memoized recursive evaluator.  All methods are pure; the caches only
-    ever receive idempotent writes, so concurrent use is safe."""
+    """Memoized evaluator on an explicit stack.  `_compute(key)` returns the
+    key's route as a generator that yields the keys it needs; `_invariant`
+    answers each from the cache or pushes it, and never recurses through
+    the interpreter.  All methods are pure; the caches only ever receive
+    idempotent writes, so concurrent use is safe."""
 
     def __init__(self):
         self.cache: dict = {}
@@ -155,16 +157,39 @@ class Engine:
                 raise ValueError(
                     f"class exponent {k} outside [0, {key.N}] in {key.canonical()}"
                 )
-        if sys.getrecursionlimit() < 30000:
-            sys.setrecursionlimit(30000)
         return self._invariant(key)
 
     def _invariant(self, key: InvariantKey) -> SymRat:
-        val = self.cache.get(key)
-        if val is None:
-            val = self._compute(key)
-            self.cache[key] = val
-        return val
+        """The value of `key`: each route on the stack runs until it yields
+        a key missing from the cache, which is pushed in turn; a finished
+        route's value is cached and sent to the route below it."""
+        cache = self.cache
+        val = cache.get(key)
+        if val is not None:
+            return val
+        stack = [(key, self._compute(key))]
+        pending = {key}
+        val = None
+        while True:
+            top, route = stack[-1]
+            try:
+                need = route.send(val)
+            except StopIteration as done:
+                val = cache[top] = done.value
+                stack.pop()
+                pending.remove(top)
+                if not stack:
+                    return val
+                continue
+            val = cache.get(need)
+            if val is None:
+                # A key already waiting on this stack would wait forever.
+                if need in pending:
+                    raise RecursionError(
+                        f"{need.canonical()} depends on its own value"
+                    )
+                stack.append((need, self._compute(need)))
+                pending.add(need)
 
     def stationary(self, N, g, ms) -> SymRat:
         return self.invariant(N, g, [(m, N) for m in ms])
@@ -179,44 +204,42 @@ class Engine:
     # ------------------------------------------------------------------
     # dispatch
 
-    def _compute(self, key: InvariantKey) -> SymRat:
-        N, g, ins = key.N, key.g, key.ins
+    def _compute(self, key: InvariantKey):
+        """The route that evaluates `key`, as a generator: it yields each
+        key it needs, is sent that key's value, and returns its own."""
+        N, g, ins = key
         n = len(ins)
         d = degree_of(N, g, ins)
         if d is None:
             return ZERO
 
         if (0, 0) in ins and _reduction_valid(d, g, n):
-            return self._string(key)
+            return (yield from self._string(key))
         if (0, 1) in ins and _reduction_valid(d, g, n):
-            return self._divisor(key, d)
+            return (yield from self._divisor(key, d))
         if (1, 0) in ins and _reduction_valid(d, g, n):
-            idx = ins.index((1, 0))
-            rest = _without(ins, idx)
-            return (2 * g - 2 + n - 1) * self._invariant(
-                InvariantKey(N, g, rest)
-            )
+            rest = _without(ins, ins.index((1, 0)))
+            return (2 * g - 2 + n - 1) * (yield InvariantKey(N, g, rest))
 
         if g == 0:
             if n <= 2:
-                return SymRat(self._g0_small(N, ins, d))
+                return SymRat((yield from self._g0_small(N, ins, d)))
             if max(m for m, _ in ins) >= 1:
                 total = ZERO
                 for coeff, k1, k2 in self.trr0_expand(N, g, ins, self._pivot(ins)):
-                    total = total + coeff * (
-                        self._invariant(k1).rational() * self._invariant(k2)
-                    )
+                    v1 = (yield k1).rational()
+                    total = total + coeff * (v1 * (yield k2))
                 return total
             return SymRat(self.wdvv_primary(N, [k for _, k in ins]))
 
         if g == 1 and max((m for m, _ in ins), default=0) >= 1:
-            return self._genus1_trr(key)
+            return (yield from self._genus1_trr(key))
 
         if g >= 2 and max((m for m, _ in ins), default=0) >= 3 * g - 1:
             piv = self._pivot(ins)
             total = ZERO
             for coeff, bb, gkey in self.trrg_expand(N, g, ins, piv):
-                total = total + coeff * (bb * self._invariant(gkey))
+                total = total + coeff * (bb * (yield gkey))
             return total
 
         # Unreachable by the implemented recursions: keep it symbolic.
@@ -232,32 +255,38 @@ class Engine:
                 best = i
         return best
 
-    def _string(self, key: InvariantKey) -> SymRat:
-        N, g, ins = key.N, key.g, key.ins
+    def _string(self, key: InvariantKey):
+        N, g, ins = key
         rest = _without(ins, ins.index((0, 0)))
         total = ZERO
         for i, (m, k) in enumerate(rest):
             if m >= 1:
-                total = total + self._invariant(
-                    InvariantKey._of(N, g, _replace(rest, i, (m - 1, k)))
+                total = total + (
+                    yield InvariantKey(
+                        N, g, tuple(sorted(_replace(rest, i, (m - 1, k))))
+                    )
                 )
         return total
 
-    def _divisor(self, key: InvariantKey, d) -> SymRat:
-        N, g, ins = key.N, key.g, key.ins
+    def _divisor(self, key: InvariantKey, d):
+        N, g, ins = key
         rest = _without(ins, ins.index((0, 1)))
-        total = d * self._invariant(InvariantKey(N, g, rest))
+        total = d * (yield InvariantKey(N, g, rest))
         for i, (m, k) in enumerate(rest):
             if m >= 1 and k < N:
-                total = total + self._invariant(
-                    InvariantKey._of(N, g, _replace(rest, i, (m - 1, k + 1)))
+                total = total + (
+                    yield InvariantKey(
+                        N, g, tuple(sorted(_replace(rest, i, (m - 1, k + 1))))
+                    )
                 )
         return total
 
     # ------------------------------------------------------------------
-    # genus zero, one and two insertions (closed forms and reductions)
+    # genus zero, one and two insertions (closed forms and reductions).
+    # These helpers invert the divisor rule through one another; they are
+    # generators joined by `yield from`, returning a Fraction.
 
-    def _g0_small(self, N, ins, d=...) -> Fraction:
+    def _g0_small(self, N, ins, d=...):
         ins = tuple(sorted(ins))
         memo_key = (N, ins)
         if memo_key in self._g0_memo:
@@ -269,13 +298,13 @@ class Engine:
         elif len(ins) == 0:
             val = Fraction(1) if (N == 1 and d == 1) else Fraction(0)
         elif len(ins) == 1:
-            val = self._g0_one(N, ins[0], d)
+            val = yield from self._g0_one(N, ins[0], d)
         else:
-            val = self._g0_two(N, ins, d)
+            val = yield from self._g0_two(N, ins, d)
         self._g0_memo[memo_key] = val
         return val
 
-    def _g0_one(self, N, A, d) -> Fraction:
+    def _g0_one(self, N, A, d):
         m, k = A
         if d <= 0:
             return Fraction(0)
@@ -284,11 +313,11 @@ class Engine:
         if m == 0:
             return Fraction(0)
         # Raise by a divisor insertion, then peel the correction term.
-        two = self._g0_small(N, ((0, 1), A))
-        corr = self._g0_small(N, ((m - 1, k + 1),))
+        two = yield from self._g0_small(N, ((0, 1), A))
+        corr = yield from self._g0_small(N, ((m - 1, k + 1),))
         return (two - corr) / d
 
-    def _g0_two(self, N, ins, d) -> Fraction:
+    def _g0_two(self, N, ins, d):
         if d <= 0:
             return Fraction(0)
         A, B = ins
@@ -297,10 +326,10 @@ class Engine:
             m, k = other
             if m == 0:
                 return Fraction(0)
-            return self._g0_small(N, ((m - 1, k),))
+            return (yield from self._g0_small(N, ((m - 1, k),)))
         if A == (1, 0) or B == (1, 0):
             other = B if A == (1, 0) else A
-            return -self._g0_small(N, (other,))
+            return -(yield from self._g0_small(N, (other,)))
         (m1, k1), (m2, k2) = A, B
         if k1 == N and k2 == N:
             return Fraction(
@@ -313,19 +342,19 @@ class Engine:
             m, k = desc
             if k == N:
                 return Fraction(1, c_factor(N + 1, m) * d)
-            three = self._g0_three_direct(N, ((0, 1),) + ins)
-            corr = self._g0_small(N, ((m - 1, k + 1), prim))
+            three = yield from self._g0_three_direct(N, ((0, 1),) + ins)
+            corr = yield from self._g0_small(N, ((m - 1, k + 1), prim))
             return (three - corr) / d
         # Two descendants, not both stationary.
-        three = self._g0_three_direct(N, ((0, 1),) + ins)
+        three = yield from self._g0_three_direct(N, ((0, 1),) + ins)
         corr = Fraction(0)
         if k1 < N:
-            corr += self._g0_small(N, ((m1 - 1, k1 + 1), B))
+            corr += yield from self._g0_small(N, ((m1 - 1, k1 + 1), B))
         if k2 < N:
-            corr += self._g0_small(N, (A, (m2 - 1, k2 + 1)))
+            corr += yield from self._g0_small(N, (A, (m2 - 1, k2 + 1)))
         return (three - corr) / d
 
-    def _g0_three_direct(self, N, ins) -> Fraction:
+    def _g0_three_direct(self, N, ins):
         """A genus-0 three-point bracket evaluated directly by the genus-0
         topological recursion, bypassing the divisor rule (which would loop
         back into the two-point reduction that called us)."""
@@ -333,9 +362,8 @@ class Engine:
         piv = self._pivot(ins)
         total = Fraction(0)
         for coeff, k1, k2 in self.trr0_expand(N, 0, ins, piv):
-            total += coeff * (
-                self._invariant(k1).rational() * self._invariant(k2).rational()
-            )
+            v1 = (yield k1).rational()
+            total += coeff * (v1 * (yield k2).rational())
         return total
 
     # ------------------------------------------------------------------
@@ -358,40 +386,32 @@ class Engine:
         co = rest[:2]
         free = rest[2:]
         terms = []
-        for r in range(len(free) + 1):
-            for U in combinations(range(len(free)), r):
-                left = [(m - 1, k)] + [free[i] for i in U]
-                right = list(co) + [free[i] for i in range(len(free)) if i not in U]
-                keys = _split_keys(N, left, 0, right)
-                if keys:
-                    terms.append((Fraction(1),) + keys)
+        for chosen, other in bipartitions(free):
+            keys = _split_keys(N, [(m - 1, k)] + chosen, 0, list(co) + other)
+            if keys:
+                terms.append((Fraction(1),) + keys)
         return terms
 
     # ------------------------------------------------------------------
     # genus-1 topological recursion
 
-    def _genus1_trr(self, key: InvariantKey) -> SymRat:
-        N, ins = key.N, key.ins
+    def _genus1_trr(self, key: InvariantKey):
+        N, _, ins = key
         piv = self._pivot(ins)
         m, k = ins[piv]
         rest = _without(ins, piv)
         total = ZERO
-        for r in range(len(rest) + 1):
-            for U in combinations(range(len(rest)), r):
-                left = [(m - 1, k)] + [rest[i] for i in U]
-                right = [rest[i] for i in range(len(rest)) if i not in U]
-                keys = _split_keys(N, left, 1, right)
-                if keys:
-                    key0, key1 = keys
-                    total = total + self._invariant(key0).rational() * self._invariant(
-                        key1
-                    )
+        for chosen, other in bipartitions(rest):
+            keys = _split_keys(N, [(m - 1, k)] + chosen, 1, other)
+            if keys:
+                v0 = (yield keys[0]).rational()
+                total = total + v0 * (yield keys[1])
         # Contracted-handle term, 1/24 of the full dual-basis sum.
         for j in range(N + 1):
-            key0 = InvariantKey._of(
-                N, 0, list(rest) + [(m - 1, k), (0, j), (0, N - j)]
+            v0 = yield InvariantKey(
+                N, 0, tuple(sorted(rest + ((m - 1, k), (0, j), (0, N - j))))
             )
-            total = total + Fraction(1, 24) * self._invariant(key0).rational()
+            total = total + Fraction(1, 24) * v0.rational()
         return total
 
     # ------------------------------------------------------------------
@@ -454,7 +474,7 @@ class Engine:
                             factor_ins = [(0, c), (comp[i] + m, k)] + groups[i]
                             nxt = None
                         v = self._invariant(
-                            InvariantKey._of(N, 0, factor_ins)
+                            InvariantKey(N, 0, tuple(sorted(factor_ins)))
                         ).rational()
                         if v == 0:
                             ok = False
@@ -468,23 +488,19 @@ class Engine:
     def _bb_rec(self, N, first_class, m, k, extras, beta) -> Fraction:
         if beta == 0:
             return self._invariant(
-                InvariantKey._of(N, 0, [(0, first_class), (m, k)] + list(extras))
+                InvariantKey(N, 0, tuple(sorted(((0, first_class), (m, k)) + extras)))
             ).rational()
         total = self.beta_bracket(N, first_class, (m + 1, k), extras, beta - 1)
-        ne = len(extras)
-        for r in range(ne + 1):
-            for U in combinations(range(ne), r):
-                left = [extras[i] for i in U]
-                right = [extras[i] for i in range(ne) if i not in U]
-                for i in range(N + 1):
-                    f = self._invariant(
-                        InvariantKey._of(N, 0, [(0, N - i), (m, k)] + left)
-                    ).rational()
-                    if f == 0:
-                        continue
-                    total -= f * self.beta_bracket(
-                        N, first_class, (0, i), tuple(right), beta - 1
-                    )
+        for left, right in bipartitions(extras):
+            for i in range(N + 1):
+                f = self._invariant(
+                    InvariantKey(N, 0, tuple(sorted([(0, N - i), (m, k)] + left)))
+                ).rational()
+                if f == 0:
+                    continue
+                total -= f * self.beta_bracket(
+                    N, first_class, (0, i), tuple(right), beta - 1
+                )
         return total
 
     def trrg_expand(self, N, g, insertions, pivot_index):
@@ -504,18 +520,15 @@ class Engine:
         terms = []
         for alpha in range(3 * g - 1):
             beta = 3 * g - 2 - alpha
-            for r in range(len(rest) + 1):
-                for U in combinations(range(len(rest)), r):
-                    left = tuple(rest[i] for i in U)
-                    right = [rest[i] for i in range(len(rest)) if i not in U]
-                    for j in range(N + 1):
-                        gkey = InvariantKey._of(N, g, right + [(alpha, j)])
-                        if gkey.degree() is None:
-                            continue
-                        bb = self.beta_bracket(N, N - j, (mm, k), left, beta)
-                        if bb == 0:
-                            continue
-                        terms.append((Fraction(1), SymRat(bb), gkey))
+            for left, right in bipartitions(rest):
+                for j in range(N + 1):
+                    gkey = InvariantKey(N, g, tuple(sorted(right + [(alpha, j)])))
+                    if gkey.degree() is None:
+                        continue
+                    bb = self.beta_bracket(N, N - j, (mm, k), left, beta)
+                    if bb == 0:
+                        continue
+                    terms.append((Fraction(1), SymRat(bb), gkey))
         return terms
 
     # ------------------------------------------------------------------
@@ -558,32 +571,29 @@ class Engine:
         rest = sorted(exps[1:], reverse=True)
         b, c = rest[0], rest[1]
         E = tuple(sorted(rest[2:]))
-        lhs = self._wdvv_f(N, (1, a - 1), (b, c), E, skip=(frozenset(), N - a))
+        lhs = self._wdvv_f(N, (1, a - 1), (b, c), E, skip=N - a)
         rhs = self._wdvv_f(N, (1, b), (a - 1, c), E, skip=None)
         return rhs - lhs
 
     def _wdvv_f(self, N, pair1, pair2, E, skip) -> Fraction:
         """One side of the associativity identity: sum over splittings of E
         and the dual class of products of two primary invariants.  The term
-        identified by `skip` (subset of E by position, dual exponent) is
-        omitted so the caller can solve for it."""
+        with none of E on the left and dual exponent `skip` is omitted so
+        the caller can solve for it."""
         total = Fraction(0)
-        idx = range(len(E))
-        for r in range(len(E) + 1):
-            for S1 in combinations(idx, r):
-                s1 = frozenset(S1)
-                left_base = list(pair1) + [E[i] for i in S1]
-                right_base = list(pair2) + [E[i] for i in idx if i not in s1]
-                for e in range(N + 1):
-                    if skip is not None and s1 == skip[0] and e == skip[1]:
-                        continue
-                    f1 = self.wdvv_primary(N, left_base + [e])
-                    if f1 == 0:
-                        continue
-                    f2 = self.wdvv_primary(N, right_base + [N - e])
-                    if f2 == 0:
-                        continue
-                    total += f1 * f2
+        for chosen, other in bipartitions(E):
+            left_base = list(pair1) + chosen
+            right_base = list(pair2) + other
+            for e in range(N + 1):
+                if e == skip and not chosen:
+                    continue
+                f1 = self.wdvv_primary(N, left_base + [e])
+                if f1 == 0:
+                    continue
+                f2 = self.wdvv_primary(N, right_base + [N - e])
+                if f2 == 0:
+                    continue
+                total += f1 * f2
         return total
 
     # ------------------------------------------------------------------

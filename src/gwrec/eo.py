@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 
-from .algebra import LaurentSeries, SymRat, compositions, format_rat
+from .algebra import LaurentSeries, SymRat, bipartitions, compositions, format_rat
 from .engine import DEFAULT_ENGINE, Engine
 from .moduli import psi_intersection
 from .quasifit import VerificationReport
@@ -248,18 +247,14 @@ class SpectralCurve:
                 add(self._stored_factor(g - 1, ["z", "zhat"], spect, ch, bound))
         for g1 in range(g + 1):
             g2 = g - g1
-            for r in range(len(spect) + 1):
-                for I in combinations(range(len(spect)), r):
-                    J = [i for i in range(len(spect)) if i not in I]
-                    gI = [spect[i] for i in I]
-                    gJ = [spect[i] for i in J]
-                    if g1 == 0 and not gI:
-                        continue
-                    if g2 == 0 and not gJ:
-                        continue
-                    left = self._piece(g1, "z", gI, ch, bound)
-                    right = self._piece(g2, "zhat", gJ, ch, bound)
-                    add(_mul_factors(left, right, ch))
+            for gI, gJ in bipartitions(spect):
+                if g1 == 0 and not gI:
+                    continue
+                if g2 == 0 and not gJ:
+                    continue
+                left = self._piece(g1, "z", gI, ch, bound)
+                right = self._piece(g2, "zhat", gJ, ch, bound)
+                add(_mul_factors(left, right, ch))
         for skey, w in bracket.items():
             if w.is_zero():
                 continue
@@ -458,6 +453,8 @@ def compare_eo_gw(
     """Slot-by-slot comparison of the expanded invariants against the
     stationary generating function of the projective line.  Genus <= 1 is a
     hard assertion; genus 2 and above is exploratory."""
+    if depth < 2 * n:
+        raise ValueError("depth too small to hold any coefficient")
     claim = f"eo-gw ({g},{n}) depth {depth}"
     atom_values = atom_values or {}
     if (g, n) == (0, 1):

@@ -11,10 +11,9 @@ single reference.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 
-from .algebra import MultiPoly, QuasiPoly, binomial, compositions
+from .algebra import MultiPoly, QuasiPoly, binomial, bipartitions, compositions
 
 
 class UnstableKeyError(ValueError):
@@ -92,19 +91,16 @@ def _psi_recurse(g, beta) -> Fraction:
                 inner += _psi(g - 1, key)
         for g1 in range(g + 1):
             g2 = g - g1
-            idx = range(len(rest))
-            for r in range(len(rest) + 1):
-                for I in combinations(idx, r):
-                    J = [j for j in idx if j not in I]
-                    if not _stable(g1, len(I) + 1) or not _stable(g2, len(J) + 1):
-                        continue
-                    k1 = tuple(sorted([a] + [rest[j] for j in I]))
-                    k2 = tuple(sorted([b] + [rest[j] for j in J]))
-                    if sum(k1) != 3 * g1 - 3 + len(k1):
-                        continue
-                    if sum(k2) != 3 * g2 - 3 + len(k2):
-                        continue
-                    inner += _psi(g1, k1) * _psi(g2, k2)
+            for I, J in bipartitions(rest):
+                if not _stable(g1, len(I) + 1) or not _stable(g2, len(J) + 1):
+                    continue
+                k1 = tuple(sorted([a] + I))
+                k2 = tuple(sorted([b] + J))
+                if sum(k1) != 3 * g1 - 3 + len(k1):
+                    continue
+                if sum(k2) != 3 * g2 - 3 + len(k2):
+                    continue
+                inner += _psi(g1, k1) * _psi(g2, k2)
         total += half * w * inner
     return total
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from gwrec.algebra import (
     QuasiPoly,
     SymRat,
     TruncationError,
+    bipartitions,
     c_factor,
     c_factor_closed,
     ceil_div,
@@ -159,6 +161,19 @@ class TestMultiPoly:
         assert d.eval((3, 4)) == Fraction(1, 2) * 2 * 3 * 4
 
 
+class TestBipartitions:
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_combinations(self, n):
+        items = "abcde"[:n]
+        want = [
+            ([items[i] for i in U], [items[i] for i in range(n) if i not in U])
+            for r in range(n + 1)
+            for U in combinations(range(n), r)
+        ]
+        assert list(bipartitions(items)) == want
+        assert len(want) == 2**n
+
+
 def _random_series(rng, var="t", center="0", lo=-5, n=9):
     coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
     return LaurentSeries(var, center, lo, coeffs, lo + n)
@@ -214,15 +229,6 @@ class TestLaurentSeries:
         s = LaurentSeries("t", "0", 0, [0, 0, 0], 3)
         with pytest.raises(ZeroDivisionError):
             s.invert()
-
-    def test_compose_geometric(self):
-        # f = 1/(1-x) truncated, inner = t + t^2
-        f = LaurentSeries("t", "0", 0, [1, 1, 1, 1, 1, 1], 6)
-        g = LaurentSeries("t", "0", 1, [1, 1, 0, 0, 0], 6)
-        h = f.compose(g)
-        # 1/(1 - t - t^2) = 1 + t + 2t^2 + 3t^3 + 5t^4 (Fibonacci)
-        for e, want in enumerate([1, 1, 2, 3, 5]):
-            assert h.coefficient(e) == want
 
     def test_integ_then_deriv(self):
         s = LaurentSeries("t", "0", 0, [3, 1, 4], 3)

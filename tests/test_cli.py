@@ -111,6 +111,20 @@ class TestVerifyCommands:
             r["status"] == "fail" for c, r in by_claim.items() if "recursion" in c
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eo-compare", "--g", "0", "--n", "1", "--depth", "1"),
+            ("eo-compare", "--g", "0", "--n", "2", "--depth", "3"),
+            ("example-f", "--max-m", "2"),
+        ],
+    )
+    def test_vacuous_check_is_usage_error(self, capsys, argv):
+        rc, recs, err = run(capsys, "verify", *argv)
+        assert rc == 2
+        assert recs == []
+        assert err.startswith("error:")
+
     def test_dilaton_requires_line(self, capsys):
         rc, _, err = run(capsys, "verify", "dilaton", "--N", "2", "--g", "0")
         assert rc == 2

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -402,6 +403,8 @@ class TestWdvv:
         assert E.wdvv_primary(3, [2, 2, 2, 2]) == 2
         # conics through four general points do not exist
         assert E.wdvv_primary(3, [3, 3, 3, 3]) == 0
+        # conics meeting eight general lines
+        assert E.wdvv_primary(3, [2] * 8) == 92
 
     def test_line_three_point(self):
         assert E.wdvv_primary(1, [1, 1, 1]) == 1
@@ -449,6 +452,40 @@ class TestCounterexample:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             E.counterexample_f(0)
+
+
+def _frame_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestExplicitStack:
+    def test_long_chain_needs_no_interpreter_depth(self):
+        # The m = 301 chain is about 150 levels of keys deep; each level
+        # recursing through the interpreter would need several frames.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_frame_depth() + 100)
+        try:
+            got = Engine().counterexample_f(301)
+        finally:
+            sys.setrecursionlimit(limit)
+        d = 151
+        assert got == -2 * d * sum(Fraction(1, j) for j in range(1, d))
+
+    def test_recursion_limit_untouched(self):
+        limit = sys.getrecursionlimit()
+        Engine().invariant(1, 0, [(41, 0), (0, 1), (0, 1)])
+        assert sys.getrecursionlimit() == limit
+
+    def test_self_dependent_key_raises(self):
+        class Loop(Engine):
+            def _compute(self, key):
+                return (yield key)
+
+        with pytest.raises(RecursionError, match="depends on its own value"):
+            Loop().invariant(1, 0, [(2, 1)])
 
 
 class TestCacheTransport:
@@ -539,6 +576,18 @@ def _grid(N, sizes):
                 yield ins
 
 
+def _drive(route):
+    """Run one engine route to its value, answering each key it yields by
+    the public entry point."""
+    val = None
+    while True:
+        try:
+            key = route.send(val)
+        except StopIteration as done:
+            return done.value
+        val = E.invariant(*key)
+
+
 class TestSplitReference:
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_trr0_expand_terms(self, N):
@@ -574,4 +623,4 @@ class TestSplitReference:
                 handle = list(rest) + [(m - 1, k), (0, j), (0, N - j)]
                 total = total + Fraction(1, 24) * E.invariant(N, 0, handle).rational()
             key = InvariantKey.make(N, 1, ins)
-            assert E._genus1_trr(key) == total, (N, ins)
+            assert _drive(E._genus1_trr(key)) == total, (N, ins)
