@@ -65,9 +65,12 @@ class Config:
         return cls(atoms)
 
 
-def load_cache(path) -> dict:
-    """Read line-delimited cache records into a canonical-key map."""
-    records = {}
+def load_cache(path, records=None) -> dict:
+    """Merge the line-delimited cache records of `path` into `records` (a
+    fresh dict by default) and return it.  Each key is parsed once into an
+    InvariantKey, so two spellings of one key are one record; a value that
+    differs from one already held is a conflict."""
+    records = {} if records is None else records
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -75,38 +78,34 @@ def load_cache(path) -> dict:
                 continue
             try:
                 obj = json.loads(line)
-                key = obj["key"]
-                InvariantKey.parse(key)
+                key = InvariantKey.parse(obj["key"])
                 val = SymRat.from_obj(obj["value"])
-            except (ValueError, KeyError) as exc:
+            except (ValueError, LookupError, TypeError, AttributeError,
+                    ArithmeticError) as exc:
                 raise UsageError(f"{path}:{lineno}: malformed cache record") from exc
             if key in records and records[key] != val:
-                raise CacheConflictError(f"{path}:{lineno}: conflicting value for {key}")
+                raise CacheConflictError(
+                    f"{path}:{lineno}: conflicting value for {key.canonical()}"
+                )
             records[key] = val
     return records
 
 
 def save_cache(records, path):
-    """Write the records to a temporary file beside `path` and rename it
-    over `path`, so a failed write leaves the previous cache intact."""
+    """Write the InvariantKey records sorted by canonical key to a temporary
+    file beside `path` and rename it over `path`, so a failed write leaves
+    the previous cache intact."""
+    lines = sorted((key.canonical(), val) for key, val in records.items())
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            for key in sorted(records):
-                fh.write(json.dumps({"key": key, "value": records[key].to_obj()}) + "\n")
+            for key, val in lines:
+                fh.write(json.dumps({"key": key, "value": val.to_obj()}) + "\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
-
-
-def attach_cache(engine: Engine, path):
-    try:
-        records = load_cache(path)
-    except FileNotFoundError:
-        return
-    engine.merge_cache(records)
 
 
 def parse_insertions(text, N):
@@ -261,7 +260,9 @@ def _verify_example_f(engine, max_m):
 def build_parser():
     p = argparse.ArgumentParser(prog="gwrec")
     p.add_argument("--config", help="JSON configuration file")
-    p.add_argument("--cache", help="invariant cache file (merged, then saved)")
+    p.add_argument(
+        "--cache", help="invariant cache file (merged; saved when new or a record was added)"
+    )
     p.add_argument(
         "--resolve-atoms", action="store_true",
         help="resolve symbolic atoms through the configured assignments",
@@ -330,17 +331,13 @@ def build_parser():
 def cmd_cache(args, config, engine):
     if args.action == "validate":
         for path in args.paths:
-            records = load_cache(path)
-            emit({"path": path, "records": len(records)})
+            emit({"path": path, "records": len(load_cache(path))})
         return 0
-    merged: dict = {}
-    for path in args.paths:
-        for key, val in load_cache(path).items():
-            if key in merged and merged[key] != val:
-                raise CacheConflictError(f"conflicting value for {key}")
-            merged[key] = val
     if not args.out:
         raise UsageError("cache merge needs --out")
+    merged: dict = {}
+    for path in args.paths:
+        load_cache(path, merged)
     save_cache(merged, args.out)
     emit({"out": args.out, "records": len(merged)})
     return 0
@@ -355,11 +352,15 @@ def main(argv=None) -> int:
     engine = Engine()
     try:
         config = Config.load(args.config) if args.config else Config()
+        loaded = None
         if args.cache:
-            attach_cache(engine, args.cache)
+            with contextlib.suppress(FileNotFoundError):
+                loaded = len(load_cache(args.cache, engine.cache))
         rc = args.func(args, config, engine)
-        if args.cache:
-            save_cache(engine.export_cache(), args.cache)
+        # The memo only grows, so a larger memo means the command added a
+        # record; a warm run leaves a cache file it read untouched.
+        if args.cache and len(engine.cache) != loaded:
+            save_cache(engine.cache, args.cache)
         return rc
     except MissingAtomError as exc:
         print(f"error: no value assigned to atom {exc.args[0]}", file=sys.stderr)

@@ -194,13 +194,6 @@ class Engine:
     def stationary(self, N, g, ms) -> SymRat:
         return self.invariant(N, g, [(m, N) for m in ms])
 
-    def normalized_stationary(self, N, g, ms) -> SymRat:
-        """Invariant times the ceiling-factorial normalisation of each slot."""
-        v = self.stationary(N, g, ms)
-        for m in ms:
-            v = v * c_factor(N + 1, m)
-        return v
-
     # ------------------------------------------------------------------
     # dispatch
 
@@ -607,20 +600,6 @@ class Engine:
             raise ValueError("m out of range")
         v = self.invariant(1, 0, [(m, 0), (0, 1), (0, 1)]).rational()
         return v * c_factor(2, m)
-
-    # ------------------------------------------------------------------
-    # cache transport
-
-    def export_cache(self):
-        return {k.canonical(): v for k, v in self.cache.items()}
-
-    def merge_cache(self, records):
-        """Merge canonical-key records; a conflicting value is a hard error."""
-        for key_str, val in records.items():
-            key = InvariantKey.parse(key_str)
-            if key in self.cache and self.cache[key] != val:
-                raise ValueError(f"cache conflict for {key_str}")
-            self.cache[key] = val
 
 
 DEFAULT_ENGINE = Engine()

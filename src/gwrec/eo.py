@@ -511,32 +511,15 @@ def _corrected_02(depth) -> dict:
     """omega^0_2 minus the Cauchy kernel in x.  On this curve the
     difference collapses to dz1 dz2 / (z1 z2 - 1)^2, which expands through
     powers of w1 w2."""
-    per_var = depth - 2
-    w = _w_series(per_var + 1)
+    w = _w_series(depth - 1)
     zp = _zp_series(w)
-    rows = {}
-    r = 0
-    while 2 * (r + 2) <= 2 * depth:
-        wk = w
-        for _ in range(r + 1):
-            wk = wk * w
-        rows[r] = wk * zp
-        r += 1
-        if r + 2 > per_var:
-            break
     out: dict = {}
-    for r, row in rows.items():
-        for e1 in range(r + 2, min(row.trunc, depth - 1)):
-            c1 = row.coefficient(e1)
-            if c1 == 0:
-                continue
-            for e2 in range(r + 2, min(row.trunc, depth - e1 + 1)):
-                c2 = row.coefficient(e2)
-                if c2 == 0:
-                    continue
-                key = (e1, e2)
-                out[key] = out.get(key, Fraction(0)) + (r + 1) * c1 * c2
-    return {k: v for k, v in out.items() if v}
+    wk = w
+    for r in range(depth - 3):
+        wk = wk * w  # w^(r+2)
+        row = wk * zp
+        _tensor_accumulate(out, [row, row], r + 1, depth)
+    return out
 
 
 # ----------------------------------------------------------------------

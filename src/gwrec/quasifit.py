@@ -77,7 +77,6 @@ class FitSpec:
     g: int
     n: int
     fixed_insertions: tuple = ()
-    cosets: list | None = None
     min_m: int | None = None  # lower bound for sample levels
 
     @property
@@ -200,6 +199,15 @@ def stationary_parity(N, g, n, fixed=()):
     return ((N - 3) * (1 - g) + n + len(fixed) - extra - n * N) % (N + 1)
 
 
+def _normalized(engine, N, g, ms, fixed=()) -> SymRat:
+    """The bracket of the `fixed` insertions and stationary slots at levels
+    `ms`, times prod_i c_{N+1}(m_i)."""
+    val = engine.invariant(N, g, list(fixed) + [(m, N) for m in ms])
+    for m in ms:
+        val = val * c_factor(N + 1, m)
+    return val
+
+
 def fit_stationary(spec: FitSpec, engine: Engine = DEFAULT_ENGINE) -> QuasiPoly:
     """Sample the engine on per-coset grids and fit the quasi-polynomial of
     the c-normalised stationary bracket.  Only canonical (sorted) cosets are
@@ -209,22 +217,14 @@ def fit_stationary(spec: FitSpec, engine: Engine = DEFAULT_ENGINE) -> QuasiPoly:
     mod = N + 1
     D = spec.degree_bound
     want = stationary_parity(N, g, n, spec.fixed_insertions)
-    if spec.cosets is not None:
-        cosets = [tuple(r) for r in spec.cosets]
-    else:
-        cosets = [
-            r
-            for r in combinations_with_replacement(range(mod), n)
-            if sum(r) % mod == want
-        ]
+    cosets = [
+        r
+        for r in combinations_with_replacement(range(mod), n)
+        if sum(r) % mod == want
+    ]
 
     def sample(ms):
-        v = engine.invariant(
-            N, g, list(spec.fixed_insertions) + [(m, N) for m in ms]
-        )
-        for m in ms:
-            v = v * c_factor(mod, m)
-        return v
+        return _normalized(engine, N, g, ms, spec.fixed_insertions)
 
     floor = spec.floor()
     fitted = {}
@@ -321,10 +321,7 @@ class StationaryFamily:
                 for (j,), d in newton.items():
                     out = out + d * binomial(t, j)
                 return out
-        val = self.engine.invariant(self.N, self.g, [(m, self.N) for m in v])
-        for m in v:
-            val = val * c_factor(mod, m)
-        return val
+        return _normalized(self.engine, self.N, self.g, v)
 
 
 _FAMILIES: dict = {}
@@ -382,9 +379,7 @@ def verify_negative_evaluation(
     claim = f"negative-evaluation N={N} g={g} k={ks} m={ms}"
     if any(not 0 <= k <= N for k in ks):
         raise ValueError("primary exponent out of range")
-    lhs = engine.invariant(N, g, [(0, k) for k in ks] + [(m, N) for m in ms])
-    for m in ms:
-        lhs = lhs * c_factor(N + 1, m)
+    lhs = _normalized(engine, N, g, ms, [(0, k) for k in ks])
     fam = stationary_family(N, g, len(ks) + len(ms), engine)
     rhs = fam.value(tuple(k - N for k in ks) + ms)
     if lhs == rhs:
@@ -457,9 +452,7 @@ def verify_dilaton_derivative(
         if branch is None:
             continue
         rhs = 2 * branch.deriv(n).eval(ms + (0,))
-        lhs = engine.invariant(N, g, [(1, 0)] + [(m, N) for m in ms])
-        for m in ms:
-            lhs = lhs * c_factor(2, m)
+        lhs = _normalized(engine, N, g, ms, [(1, 0)])
         if lhs != rhs:
             return VerificationReport(
                 claim, "fail", {"m": ms, "lhs": lhs, "rhs": rhs}
@@ -491,9 +484,7 @@ def asymptotics_report(
     if t == 0:
         return VerificationReport(claim, "fail", {"reason": "no admissible point"})
     ms = tuple(t * r for r in ray)
-    val = engine.invariant(N, g, [(m, N) for m in ms])
-    for m in ms:
-        val = val * c_factor(mod, m)
+    val = _normalized(engine, N, g, ms)
     try:
         num = val.resolve(atom_values or {})
     except KeyError as exc:

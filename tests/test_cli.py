@@ -13,6 +13,7 @@ from gwrec.cli import (
     parse_insertions,
     save_cache,
 )
+from gwrec.engine import Engine, InvariantKey
 
 
 def run(capsys, *argv):
@@ -157,8 +158,8 @@ class TestCacheIO:
     def test_round_trip(self, tmp_path, capsys):
         path = tmp_path / "cache.jsonl"
         records = {
-            "gw[N=1;g=0;ins=(2,1)]": SymRat(Fraction(1, 4)),
-            "gw[N=1;g=1;ins=(0,1)]": SymRat.atom("gw[N=1;g=1;ins=(0,1)]"),
+            InvariantKey.make(1, 0, [(2, 1)]): SymRat(Fraction(1, 4)),
+            InvariantKey.make(1, 1, [(0, 1)]): SymRat.atom("gw[N=1;g=1;ins=(0,1)]"),
         }
         save_cache(records, path)
         assert load_cache(path) == records
@@ -191,12 +192,12 @@ class TestCacheIO:
         )
         assert rc == 0
         records = load_cache(path)
-        assert "gw[N=1;g=0;ins=(4,1)]" in records
+        assert InvariantKey.make(1, 0, [(4, 1)]) in records
 
     def test_cache_merge_command(self, tmp_path, capsys):
         a, b, out = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "m.jsonl"
-        save_cache({"gw[N=1;g=0;ins=(2,1)]": SymRat(Fraction(1, 4))}, a)
-        save_cache({"gw[N=1;g=0;ins=(4,1)]": SymRat(Fraction(1, 36))}, b)
+        save_cache({InvariantKey.make(1, 0, [(2, 1)]): SymRat(Fraction(1, 4))}, a)
+        save_cache({InvariantKey.make(1, 0, [(4, 1)]): SymRat(Fraction(1, 36))}, b)
         rc, recs, _ = run(capsys, "cache", "merge", str(a), str(b), "--out", str(out))
         assert rc == 0
         assert len(load_cache(out)) == 2
@@ -207,16 +208,102 @@ class TestCacheIO:
                 raise RuntimeError("record cannot be serialised")
 
         path = tmp_path / "cache.jsonl"
-        good = {"gw[N=1;g=0;ins=(2,1)]": SymRat(Fraction(1, 4))}
-        save_cache(dict(good, **{"gw[N=1;g=0;ins=(6,1)]": SymRat(Fraction(1, 576))}), path)
+        good = {InvariantKey.make(1, 0, [(2, 1)]): SymRat(Fraction(1, 4))}
+        save_cache(
+            {**good, InvariantKey.make(1, 0, [(6, 1)]): SymRat(Fraction(1, 576))}, path
+        )
         before = path.read_bytes()
         # The unwritable record sorts after the good one, so the write fails
         # partway through, after a prefix that differs from the old file.
-        bad = dict(good, **{"gw[N=1;g=0;ins=(4,1)]": Unwritable(Fraction(1, 36))})
+        bad = {**good, InvariantKey.make(1, 0, [(4, 1)]): Unwritable(Fraction(1, 36))}
         with pytest.raises(RuntimeError):
             save_cache(bad, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
+
+    @pytest.mark.parametrize("line", [
+        "[1]",
+        '{"key": 5, "value": {"scalar": "1"}}',
+        '{"key": "gw[N=1;g=0;ins=(2,1)]", "value": "1/4"}',
+        '{"key": "gw[N=1;g=0;ins=(2,1)]", "value": {"scalar": "1/0"}}',
+    ], ids=["not-an-object", "key-not-a-string", "value-not-an-object", "zero-denominator"])
+    def test_malformed_record_shapes(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(UsageError, match=":1: malformed"):
+            load_cache(path)
+
+    def test_engine_memo_round_trip(self, tmp_path):
+        eng = Engine()
+        eng.invariant(1, 0, [(2, 1)])
+        eng.invariant(1, 1, [(0, 1)])
+        path = tmp_path / "cache.jsonl"
+        save_cache(eng.cache, path)
+        assert load_cache(path, Engine().cache) == eng.cache
+
+    def test_conflict_with_engine_memo(self, tmp_path):
+        eng = Engine()
+        eng.invariant(1, 0, [(2, 1)])
+        key = next(iter(eng.cache))
+        path = tmp_path / "bad.jsonl"
+        save_cache({key: SymRat(999)}, path)
+        with pytest.raises(CacheConflictError, match=":1: conflicting value"):
+            load_cache(path, eng.cache)
+
+    def test_warm_run_leaves_cache_file_untouched(self, tmp_path, capsys):
+        path = tmp_path / "cache.jsonl"
+        argv = ("--cache", str(path), "invariant", "--N", "1", "--g", "0", "--ins", "4:pt")
+        assert run(capsys, *argv)[0] == 0
+        before = path.stat()
+        data = path.read_bytes()
+        assert run(capsys, *argv)[0] == 0
+        after = path.stat()
+        assert path.read_bytes() == data
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_missing_cache_is_created(self, tmp_path, capsys):
+        path = tmp_path / "cache.jsonl"
+        rc, _, _ = run(capsys, "--cache", str(path), "psi", "--g", "1", "--beta", "1")
+        assert rc == 0
+        assert path.read_bytes() == b""
+
+
+class TestTwoSpellingsOfOneKey:
+    """Two spellings of one key with different values conflict wherever a
+    cache file is read."""
+
+    @pytest.fixture
+    def dup(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        recs = [
+            ("gw[N=1;g=0;ins=(2,1)]", "1/4"),
+            ("gw[N=1;g=0;ins=(4,1),(0,1)]", "7"),
+            ("gw[N=1;g=0;ins=(0,1),(4,1)]", "5"),
+        ]
+        path.write_text("".join(
+            json.dumps({"key": k, "value": {"scalar": v, "atoms": {}}}) + "\n"
+            for k, v in recs
+        ))
+        return path
+
+    def test_validate(self, capsys, dup):
+        rc, recs, err = run(capsys, "cache", "validate", str(dup))
+        assert rc == 2
+        assert recs == []
+        assert "dup.jsonl:3: conflicting value" in err
+
+    def test_merge(self, capsys, tmp_path, dup):
+        good, out = tmp_path / "good.jsonl", tmp_path / "m.jsonl"
+        save_cache({InvariantKey.make(1, 0, [(2, 1)]): SymRat(Fraction(1, 4))}, good)
+        rc, _, err = run(capsys, "cache", "merge", str(good), str(dup), "--out", str(out))
+        assert rc == 2
+        assert "conflicting value" in err
+        assert not out.exists()
+
+    def test_cache_flag(self, capsys, dup):
+        rc, _, err = run(capsys, "--cache", str(dup), "psi", "--g", "1", "--beta", "1")
+        assert rc == 2
+        assert "conflicting value" in err
 
 
 class TestConfig:

@@ -147,7 +147,10 @@ class TestGenerating:
 class TestComparison:
     @pytest.mark.parametrize(
         "g,n,depth",
-        [(0, 3, 12), (0, 4, 12), (1, 1, 12), (1, 2, 10), (0, 1, 12), (0, 2, 12)],
+        [
+            (0, 3, 12), (0, 4, 12), (1, 1, 12), (1, 2, 10), (0, 1, 12), (0, 2, 12),
+            (0, 2, 16),
+        ],
     )
     def test_matches_gw(self, g, n, depth):
         rep = compare_eo_gw(g, n, depth, atom_values=ATOMS)
