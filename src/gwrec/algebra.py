@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 
 Rat = Fraction
 
@@ -131,14 +131,10 @@ class SymRat:
             out += c * Fraction(assignment[name])
         return out
 
-    @staticmethod
-    def _coercible(other):
-        return isinstance(other, (SymRat, int, Fraction))
-
     # Atom-free operands take plain Fraction arithmetic: an int or Fraction
     # combined with a Fraction scalar always yields a Fraction.
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         if isinstance(other, SymRat):
             scalar, atoms = other.scalar, other.atoms
         elif isinstance(other, (int, Fraction)):
@@ -146,11 +142,14 @@ class SymRat:
         else:
             return NotImplemented
         if not atoms:
-            return SymRat._make(self.scalar + scalar, self.atoms)
+            return SymRat._make(op(self.scalar, scalar), self.atoms)
         out = dict(self.atoms)
         for k, v in atoms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return SymRat._make(self.scalar + scalar, out)
+            out[k] = op(out.get(k, 0), v)
+        return SymRat._make(op(self.scalar, scalar), out)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
@@ -158,12 +157,10 @@ class SymRat:
         return SymRat._make(-self.scalar, {k: -v for k, v in self.atoms.items()})
 
     def __sub__(self, other):
-        if not self._coercible(other):
-            return NotImplemented
-        return self + (-SymRat.of(other))
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
-        return SymRat.of(other) + (-self)
+        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, SymRat):
@@ -220,6 +217,52 @@ class SymRat:
 
 
 ZERO = SymRat(0)
+
+
+def dot(pairs):
+    """The exact sum of a * b over (a, b) pairs of ints, Fractions and
+    SymRats: a Fraction when no factor is a SymRat, a SymRat otherwise.
+
+    Each coefficient, the scalar and every atom's, is summed as an integer
+    numerator over an integer denominator and reduced to a Fraction once,
+    at the end, except that a sum of one product of long values is left to
+    Fraction's cross-cancelling product, which is cheaper on them.  Atoms
+    whose coefficients cancel are dropped.  A product of two atom-carrying
+    factors raises AtomProductError."""
+    num, den = 0, 1
+    atoms = None  # atom name -> [numerator, denominator], once a SymRat is seen
+    for a, b in pairs:
+        if isinstance(a, SymRat) or isinstance(b, SymRat):
+            atoms = {} if atoms is None else atoms
+            if isinstance(b, SymRat) and b.atoms:
+                if isinstance(a, SymRat) and a.atoms:
+                    raise AtomProductError(
+                        f"atom * atom product: {sorted(a.atoms)} x {sorted(b.atoms)}"
+                    )
+                a, b = b, a
+            if isinstance(b, SymRat):
+                b = b.scalar
+            if isinstance(a, SymRat):
+                for name, c in a.atoms.items():
+                    acc = atoms.setdefault(name, [0, 1])
+                    p, q = c.numerator * b.numerator, c.denominator * b.denominator
+                    acc[0], acc[1] = acc[0] * q + p * acc[1], acc[1] * q
+                a = a.scalar
+        p = a.numerator * b.numerator
+        if p:
+            one = None if num else (a, b)  # the sum so far, while it is one product
+            q = a.denominator * b.denominator
+            if q == den:
+                num += p
+            else:
+                num, den = num * q + p * den, den * q
+    if atoms is None:
+        if num and one and den.bit_length() > 512:
+            return Fraction(one[0]) * one[1]
+        return Fraction(num, den)
+    return SymRat._make(
+        Fraction(num, den), {k: Fraction(n, d) for k, (n, d) in atoms.items() if n}
+    )
 
 
 class MultiPoly:

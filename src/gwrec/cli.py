@@ -68,8 +68,9 @@ class Config:
 def load_cache(path, records=None) -> dict:
     """Merge the line-delimited cache records of `path` into `records` (a
     fresh dict by default) and return it.  Each key is parsed once into an
-    InvariantKey, so two spellings of one key are one record; a value that
-    differs from one already held is a conflict."""
+    InvariantKey and checked like engine input, so two spellings of one key
+    are one record; a genus-0 value is held as a Fraction and may carry no
+    atom.  A value that differs from one already held is a conflict."""
     records = {} if records is None else records
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -78,8 +79,10 @@ def load_cache(path, records=None) -> dict:
                 continue
             try:
                 obj = json.loads(line)
-                key = InvariantKey.parse(obj["key"])
+                key = InvariantKey.parse(obj["key"]).checked()
                 val = SymRat.from_obj(obj["value"])
+                if key.g == 0:
+                    val = val.rational()
             except (ValueError, LookupError, TypeError, AttributeError,
                     ArithmeticError) as exc:
                 raise UsageError(f"{path}:{lineno}: malformed cache record") from exc
@@ -100,7 +103,8 @@ def save_cache(records, path):
     try:
         with open(tmp, "w") as fh:
             for key, val in lines:
-                fh.write(json.dumps({"key": key, "value": val.to_obj()}) + "\n")
+                obj = {"key": key, "value": SymRat.of(val).to_obj()}
+                fh.write(json.dumps(obj) + "\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

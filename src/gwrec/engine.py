@@ -1,9 +1,12 @@
 """Evaluator for descendant Gromov-Witten invariants of projective space.
 
-Values are exact SymRat: a rational number plus a Q-linear combination of
-atoms, one atom per invariant the implemented recursions cannot reach
-(genus >= 2 with all descendant levels below threshold, and the genus-1
-primary survivors).  Genus-0 values are always plain rationals.
+Values are exact: a rational number plus a Q-linear combination of atoms,
+one atom per invariant the implemented recursions cannot reach (genus >= 2
+with all descendant levels below threshold, and the genus-1 primary
+survivors).  The memo holds every genus-0 value as a plain Fraction (a
+higher-genus value is a SymRat, or a Fraction where no SymRat entered it);
+`Engine.invariant` returns a SymRat.  Each recursion step sums its product
+terms in one `dot`.
 
 The degree of a map is never stored: it is derived from the dimension
 constraint of the key and a key whose derived degree is fractional or
@@ -21,10 +24,7 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from .algebra import ZERO, SymRat, bipartitions, c_factor, compositions
-
-Insertion = tuple  # (m, k): descendant level and class exponent
-
+from .algebra import SymRat, bipartitions, c_factor, compositions, dot
 
 class SplitAmbiguityError(AssertionError):
     """More than one splitting class passed the dimension filter."""
@@ -55,6 +55,22 @@ class InvariantKey(NamedTuple):
     def canonical(self) -> str:
         body = ",".join(f"({m},{k})" for m, k in self.ins)
         return f"gw[N={self.N};g={self.g};ins={body}]"
+
+    def checked(self) -> "InvariantKey":
+        """This key, once it is known to name a bracket: N >= 1, g >= 0 and
+        every insertion with m >= 0 and 0 <= k <= N; ValueError otherwise."""
+        if self.N < 1:
+            raise ValueError("target dimension must be >= 1")
+        if self.g < 0:
+            raise ValueError("genus must be >= 0")
+        for m, k in self.ins:
+            if m < 0:
+                raise ValueError(f"negative descendant level in {self.canonical()}")
+            if not 0 <= k <= self.N:
+                raise ValueError(
+                    f"class exponent {k} outside [0, {self.N}] in {self.canonical()}"
+                )
+        return self
 
     @classmethod
     def parse(cls, text: str) -> "InvariantKey":
@@ -145,21 +161,10 @@ class Engine:
     # public entry points
 
     def invariant(self, N, g, insertions) -> SymRat:
-        key = InvariantKey.make(N, g, insertions)
-        if key.N < 1:
-            raise ValueError("target dimension must be >= 1")
-        if key.g < 0:
-            raise ValueError("genus must be >= 0")
-        for m, k in key.ins:
-            if m < 0:
-                raise ValueError(f"negative descendant level in {key.canonical()}")
-            if not 0 <= k <= key.N:
-                raise ValueError(
-                    f"class exponent {k} outside [0, {key.N}] in {key.canonical()}"
-                )
-        return self._invariant(key)
+        val = self._invariant(InvariantKey.make(N, g, insertions).checked())
+        return val if isinstance(val, SymRat) else SymRat._make(val)
 
-    def _invariant(self, key: InvariantKey) -> SymRat:
+    def _invariant(self, key: InvariantKey):
         """The value of `key`: each route on the stack runs until it yields
         a key missing from the cache, which is pushed in turn; a finished
         route's value is cached and sent to the route below it."""
@@ -204,7 +209,7 @@ class Engine:
         n = len(ins)
         d = degree_of(N, g, ins)
         if d is None:
-            return ZERO
+            return Fraction(0)
 
         if (0, 0) in ins and _reduction_valid(d, g, n):
             return (yield from self._string(key))
@@ -214,26 +219,22 @@ class Engine:
             rest = _without(ins, ins.index((1, 0)))
             return (2 * g - 2 + n - 1) * (yield InvariantKey(N, g, rest))
 
+        top = max((m for m, _ in ins), default=0)
         if g == 0:
             if n <= 2:
-                return SymRat((yield from self._g0_small(N, ins, d)))
-            if max(m for m, _ in ins) >= 1:
-                total = ZERO
-                for coeff, k1, k2 in self.trr0_expand(N, g, ins, self._pivot(ins)):
-                    v1 = (yield k1).rational()
-                    total = total + coeff * (v1 * (yield k2))
-                return total
-            return SymRat(self.wdvv_primary(N, [k for _, k in ins]))
+                return (yield from self._g0_small(N, ins, d))
+            if top >= 1:
+                return (yield from self._trr0(N, ins))
+            return self.wdvv_primary(N, [k for _, k in ins])
 
-        if g == 1 and max((m for m, _ in ins), default=0) >= 1:
+        if g == 1 and top >= 1:
             return (yield from self._genus1_trr(key))
 
-        if g >= 2 and max((m for m, _ in ins), default=0) >= 3 * g - 1:
-            piv = self._pivot(ins)
-            total = ZERO
-            for coeff, bb, gkey in self.trrg_expand(N, g, ins, piv):
-                total = total + coeff * (bb * (yield gkey))
-            return total
+        if g >= 2 and top >= 3 * g - 1:
+            terms = []
+            for bb, gkey in self.trrg_expand(N, g, ins, self._pivot(ins)):
+                terms.append((bb, (yield gkey)))
+            return dot(terms)
 
         # Unreachable by the implemented recursions: keep it symbolic.
         return SymRat.atom(key.canonical())
@@ -251,28 +252,22 @@ class Engine:
     def _string(self, key: InvariantKey):
         N, g, ins = key
         rest = _without(ins, ins.index((0, 0)))
-        total = ZERO
+        terms = []
         for i, (m, k) in enumerate(rest):
             if m >= 1:
-                total = total + (
-                    yield InvariantKey(
-                        N, g, tuple(sorted(_replace(rest, i, (m - 1, k))))
-                    )
-                )
-        return total
+                new = _replace(rest, i, (m - 1, k))
+                terms.append((1, (yield InvariantKey(N, g, tuple(sorted(new))))))
+        return dot(terms)
 
     def _divisor(self, key: InvariantKey, d):
         N, g, ins = key
         rest = _without(ins, ins.index((0, 1)))
-        total = d * (yield InvariantKey(N, g, rest))
+        terms = [(d, (yield InvariantKey(N, g, rest)))]
         for i, (m, k) in enumerate(rest):
             if m >= 1 and k < N:
-                total = total + (
-                    yield InvariantKey(
-                        N, g, tuple(sorted(_replace(rest, i, (m - 1, k + 1))))
-                    )
-                )
-        return total
+                new = _replace(rest, i, (m - 1, k + 1))
+                terms.append((1, (yield InvariantKey(N, g, tuple(sorted(new))))))
+        return dot(terms)
 
     # ------------------------------------------------------------------
     # genus zero, one and two insertions (closed forms and reductions).
@@ -335,11 +330,11 @@ class Engine:
             m, k = desc
             if k == N:
                 return Fraction(1, c_factor(N + 1, m) * d)
-            three = yield from self._g0_three_direct(N, ((0, 1),) + ins)
+            three = yield from self._trr0(N, tuple(sorted(((0, 1),) + ins)))
             corr = yield from self._g0_small(N, ((m - 1, k + 1), prim))
             return (three - corr) / d
         # Two descendants, not both stationary.
-        three = yield from self._g0_three_direct(N, ((0, 1),) + ins)
+        three = yield from self._trr0(N, tuple(sorted(((0, 1),) + ins)))
         corr = Fraction(0)
         if k1 < N:
             corr += yield from self._g0_small(N, ((m1 - 1, k1 + 1), B))
@@ -347,26 +342,25 @@ class Engine:
             corr += yield from self._g0_small(N, (A, (m2 - 1, k2 + 1)))
         return (three - corr) / d
 
-    def _g0_three_direct(self, N, ins):
-        """A genus-0 three-point bracket evaluated directly by the genus-0
-        topological recursion, bypassing the divisor rule (which would loop
-        back into the two-point reduction that called us)."""
-        ins = tuple(sorted(ins))
-        piv = self._pivot(ins)
-        total = Fraction(0)
-        for coeff, k1, k2 in self.trr0_expand(N, 0, ins, piv):
-            v1 = (yield k1).rational()
-            total += coeff * (v1 * (yield k2).rational())
-        return total
-
     # ------------------------------------------------------------------
     # genus-0 topological recursion
 
+    def _trr0(self, N, ins):
+        """The genus-0 bracket of sorted `ins` (at least three insertions,
+        one a descendant) by the topological recursion.  The two-point
+        reductions call it directly for their three-point bracket, since the
+        divisor rule would loop back into them."""
+        terms = []
+        for k1, k2 in self.trr0_expand(N, 0, ins, self._pivot(ins)):
+            terms.append(((yield k1), (yield k2)))
+        return dot(terms)
+
     def trr0_expand(self, N, g, insertions, pivot_index):
-        """All product terms of the genus-0 recursion pivoting on the given
-        insertion.  The two co-pivots are the first two remaining insertions
-        in canonical order; every splitting of the rest is distributed over
-        the two factors and the splitting class is forced by dimension."""
+        """The (k1, k2) key pairs of the genus-0 recursion pivoting on the
+        given insertion: the bracket is the sum of the products of their
+        values.  The two co-pivots are the first two remaining insertions in
+        canonical order; every splitting of the rest is distributed over the
+        two factors and the splitting class is forced by dimension."""
         ins = tuple(sorted((int(m), int(k)) for m, k in insertions))
         if g != 0:
             raise ValueError("trr0_expand is genus-0 only")
@@ -382,7 +376,7 @@ class Engine:
         for chosen, other in bipartitions(free):
             keys = _split_keys(N, [(m - 1, k)] + chosen, 0, list(co) + other)
             if keys:
-                terms.append((Fraction(1),) + keys)
+                terms.append(keys)
         return terms
 
     # ------------------------------------------------------------------
@@ -393,19 +387,17 @@ class Engine:
         piv = self._pivot(ins)
         m, k = ins[piv]
         rest = _without(ins, piv)
-        total = ZERO
+        terms = []
         for chosen, other in bipartitions(rest):
             keys = _split_keys(N, [(m - 1, k)] + chosen, 1, other)
             if keys:
-                v0 = (yield keys[0]).rational()
-                total = total + v0 * (yield keys[1])
+                terms.append(((yield keys[0]), (yield keys[1])))
         # Contracted-handle term, 1/24 of the full dual-basis sum.
+        handle = Fraction(1, 24)
         for j in range(N + 1):
-            v0 = yield InvariantKey(
-                N, 0, tuple(sorted(rest + ((m - 1, k), (0, j), (0, N - j))))
-            )
-            total = total + Fraction(1, 24) * v0.rational()
-        return total
+            ins0 = tuple(sorted(rest + ((m - 1, k), (0, j), (0, N - j))))
+            terms.append((handle, (yield InvariantKey(N, 0, ins0))))
+        return dot(terms)
 
     # ------------------------------------------------------------------
     # genus-g topological recursion and its genus-0 chain brackets
@@ -468,7 +460,7 @@ class Engine:
                             nxt = None
                         v = self._invariant(
                             InvariantKey(N, 0, tuple(sorted(factor_ins)))
-                        ).rational()
+                        )
                         if v == 0:
                             ok = False
                             break
@@ -482,13 +474,13 @@ class Engine:
         if beta == 0:
             return self._invariant(
                 InvariantKey(N, 0, tuple(sorted(((0, first_class), (m, k)) + extras)))
-            ).rational()
+            )
         total = self.beta_bracket(N, first_class, (m + 1, k), extras, beta - 1)
         for left, right in bipartitions(extras):
             for i in range(N + 1):
                 f = self._invariant(
                     InvariantKey(N, 0, tuple(sorted([(0, N - i), (m, k)] + left)))
-                ).rational()
+                )
                 if f == 0:
                     continue
                 total -= f * self.beta_bracket(
@@ -497,9 +489,10 @@ class Engine:
         return total
 
     def trrg_expand(self, N, g, insertions, pivot_index):
-        """Terms of the genus-g recursion: chain bracket times a genus-g
-        factor, summed over the split of the contact order 3g-2 and over all
-        distributions of the remaining insertions."""
+        """The (bb, gkey) terms of the genus-g recursion: a nonzero chain
+        bracket, a Fraction, times the value of a genus-g key, over the
+        split of the contact order 3g-2 and over all distributions of the
+        remaining insertions."""
         ins = tuple(sorted((int(m), int(k)) for m, k in insertions))
         if g < 1:
             raise ValueError("trrg_expand needs genus >= 1")
@@ -521,7 +514,7 @@ class Engine:
                     bb = self.beta_bracket(N, N - j, (mm, k), left, beta)
                     if bb == 0:
                         continue
-                    terms.append((Fraction(1), SymRat(bb), gkey))
+                    terms.append((bb, gkey))
         return terms
 
     # ------------------------------------------------------------------
@@ -598,7 +591,7 @@ class Engine:
         only for odd m (dimension parity)."""
         if m < 1:
             raise ValueError("m out of range")
-        v = self.invariant(1, 0, [(m, 0), (0, 1), (0, 1)]).rational()
+        v = self._invariant(InvariantKey(1, 0, ((0, 1), (0, 1), (m, 0))))
         return v * c_factor(2, m)
 
 

@@ -203,9 +203,7 @@ def _normalized(engine, N, g, ms, fixed=()) -> SymRat:
     """The bracket of the `fixed` insertions and stationary slots at levels
     `ms`, times prod_i c_{N+1}(m_i)."""
     val = engine.invariant(N, g, list(fixed) + [(m, N) for m in ms])
-    for m in ms:
-        val = val * c_factor(N + 1, m)
-    return val
+    return val * prod(c_factor(N + 1, m) for m in ms)
 
 
 def fit_stationary(spec: FitSpec, engine: Engine = DEFAULT_ENGINE) -> QuasiPoly:
@@ -391,7 +389,8 @@ def verify_p_string_divisor(
     N, g, n, engine: Engine = DEFAULT_ENGINE, max_m=10
 ) -> VerificationReport:
     """The string and divisor equations written purely in terms of the
-    stationary family, checked on a grid."""
+    stationary family, checked on a grid; ValueError when the grid holds no
+    point to check."""
     claim = f"p-string-divisor N={N} g={g} n={n} grid<= {max_m}"
     mod = N + 1
     lo = max(0, 3 * g - 1)
@@ -425,7 +424,7 @@ def verify_p_string_divisor(
                 )
             checked += 1
     if checked == 0:
-        return VerificationReport(claim, "fail", {"reason": "empty grid"})
+        raise ValueError(f"{claim}: empty grid, nothing to check")
     return VerificationReport(claim, "pass", {"points": checked})
 
 
@@ -434,7 +433,8 @@ def verify_dilaton_derivative(
 ) -> VerificationReport:
     """On the projective line, a level-one unit insertion equals twice the
     slot derivative of the stationary family at zero.  Proven for genus 0
-    and 1; higher genus is only reported."""
+    and 1; higher genus is only reported.  ValueError when the grid holds no
+    point to check."""
     N = 1
     claim = f"dilaton-derivative g={g} n={n}"
     if g > 1:
@@ -459,7 +459,7 @@ def verify_dilaton_derivative(
             )
         checked += 1
     if checked == 0:
-        return VerificationReport(claim, "fail", {"reason": "empty grid"})
+        raise ValueError(f"{claim}: empty grid, nothing to check")
     return VerificationReport(claim, "pass", {"points": checked})
 
 
@@ -468,7 +468,8 @@ def asymptotics_report(
     atom_values=None, bound=Fraction(1, 100),
 ) -> VerificationReport:
     """Ratio of the normalised bracket to its top-degree form along a ray;
-    the deviation from 1 is reported and compared to the bound exactly."""
+    the deviation from 1 is reported and compared to the bound exactly.
+    ValueError when no point of the ray up to m_max is admissible."""
     ray = tuple(int(r) for r in ray)
     if len(ray) != n or any(r <= 0 for r in ray):
         raise ValueError("ray must have positive entries")
@@ -482,7 +483,7 @@ def asymptotics_report(
             break
         t -= 1
     if t == 0:
-        return VerificationReport(claim, "fail", {"reason": "no admissible point"})
+        raise ValueError(f"{claim}: no admissible point up to m = {m_max}")
     ms = tuple(t * r for r in ray)
     val = _normalized(engine, N, g, ms)
     try:

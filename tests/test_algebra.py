@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gwrec.algebra import (
@@ -18,6 +19,7 @@ from gwrec.algebra import (
     c_factor,
     c_factor_closed,
     ceil_div,
+    dot,
     format_rat,
     parse_rat,
 )
@@ -498,3 +500,58 @@ class TestSymRatReference:
         q = Fraction(3, 7)
         assert SymRat(q).scalar is q
         assert type(SymRat(2).scalar) is Fraction
+
+
+# ----------------------------------------------------------------------
+# dot against the sum of its products, each built from plain Fractions.
+
+
+def _lowest(q):
+    return type(q) is Fraction and q.denominator > 0 and gcd(q.numerator, q.denominator) == 1
+
+
+def _dot_ref(raw):
+    total = (Fraction(0), {})
+    for x, y in raw:
+        total = _sr_add(total, _sr_mul(_sr_ref(x), _sr_ref(y)))
+    return total
+
+
+class TestDot:
+    @given(st.lists(st.tuples(_operands, _operands), max_size=6))
+    @example([])
+    @example([(0, ("sym", 0, {"gw[a]": 1})), (("sym", 2, {}), 0)])
+    def test_against_reference(self, raw):
+        pairs = [(_value(x), _value(y)) for x, y in raw]
+        has_sym = any(isinstance(v, tuple) for xy in raw for v in xy)
+        for ps in (pairs, [(b, a) for a, b in pairs]):
+            try:
+                want = _dot_ref(raw)
+            except AtomProductError:
+                with pytest.raises(AtomProductError):
+                    dot(ps)
+                continue
+            got = dot(ps)
+            if has_sym:
+                assert _sr_state(got) == want
+                assert all(map(_lowest, [got.scalar, *got.atoms.values()]))
+            else:
+                assert type(got) is Fraction and not want[1]
+                assert got == want[0] and _lowest(got)
+
+    def test_long_values(self):
+        x, y = Fraction(3**400, 2**700 + 1), Fraction(2**5 * (2**700 + 1), 3**7)
+        for pairs in ([(x, y)], [(x, 1), (x, -1), (y, x)], [(x, y), (x, 3)],
+                      [(0, y), (x, y), (1, 1)]):
+            got = dot(pairs)
+            assert got == sum((a * b for a, b in pairs), Fraction(0)) and _lowest(got)
+
+    def test_cancelled_atoms_are_dropped(self):
+        a = SymRat.atom("gw[a]", Fraction(2, 3))
+        got = dot([(3, a), (a, -3), (Fraction(1, 2), 4)])
+        assert type(got) is SymRat and got.atoms == {} and got.scalar == 2
+
+    def test_atom_times_atom_raises(self):
+        a, b = SymRat.atom("gw[a]"), SymRat(1, {"gw[b]": 2})
+        with pytest.raises(AtomProductError):
+            dot([(1, 2), (a, b)])

@@ -118,6 +118,8 @@ class TestVerifyCommands:
             ("eo-compare", "--g", "0", "--n", "1", "--depth", "1"),
             ("eo-compare", "--g", "0", "--n", "2", "--depth", "3"),
             ("example-f", "--max-m", "2"),
+            ("string-divisor", "--max-m", "-1"),
+            ("asymptotics", "--N", "1", "--g", "1", "--n", "1", "--ray", "1", "--max-m", "0"),
         ],
     )
     def test_vacuous_check_is_usage_error(self, capsys, argv):
@@ -266,6 +268,36 @@ class TestCacheIO:
         rc, _, _ = run(capsys, "--cache", str(path), "psi", "--g", "1", "--beta", "1")
         assert rc == 0
         assert path.read_bytes() == b""
+
+
+class TestCacheRecordsCheckedLikeInput:
+    """A cache record whose key the engine would reject, or a genus-0 record
+    that carries an atom, is malformed wherever a cache file is read."""
+
+    @pytest.fixture(params=[
+        ("gw[N=0;g=-1;ins=(-3,7)]", {"scalar": "5"}),
+        ("gw[N=1;g=0;ins=(0,1),(2,1)]", {"scalar": "0", "atoms": {"x": "1"}}),
+    ], ids=["key-out-of-range", "genus-0-atom"])
+    def bad(self, request, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        key, value = request.param
+        path.write_text(json.dumps({"key": key, "value": value}) + "\n")
+        return path
+
+    def test_validate(self, capsys, bad):
+        rc, recs, err = run(capsys, "cache", "validate", str(bad))
+        assert rc == 2
+        assert recs == []
+        assert "bad.jsonl:1: malformed cache record" in err
+
+    def test_cache_flag(self, capsys, bad):
+        rc, recs, err = run(
+            capsys, "--cache", str(bad), "invariant", "--N", "1", "--g", "0",
+            "--ins", "2:1,0:1,0:1",
+        )
+        assert rc == 2
+        assert recs == []
+        assert "bad.jsonl:1: malformed cache record" in err
 
 
 class TestTwoSpellingsOfOneKey:
