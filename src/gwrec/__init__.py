@@ -16,10 +16,7 @@ from .engine import (
     DEFAULT_ENGINE,
     Engine,
     InvariantKey,
-    counterexample_f,
     degree_of,
-    invariant,
-    wdvv_primary,
 )
 from .eo import (
     InfinitySeries,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul, sub
 
 Rat = Fraction
@@ -338,13 +338,9 @@ class MultiPoly:
         if len(point) != self.nvars:
             raise ValueError("evaluation arity mismatch")
         point = [Fraction(p) for p in point]
-        out = ZERO
-        for e, c in self.terms.items():
-            mono = Fraction(1)
-            for p, k in zip(point, e):
-                mono *= p**k
-            out = out + c * mono
-        return out
+        return SymRat.of(dot(
+            (c, prod(p**k for p, k in zip(point, e))) for e, c in self.terms.items()
+        ))
 
     def relabel(self, perm) -> "MultiPoly":
         """Variable relabeling: result(x_0,..) = self(x_perm[0], x_perm[1], ..)."""

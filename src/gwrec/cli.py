@@ -185,7 +185,7 @@ def cmd_fit(args, config, engine):
 
 
 def cmd_eo(args, config, engine):
-    curve = SpectralCurve(args.y_trunc) if args.y_trunc else None
+    curve = None if args.y_trunc is None else SpectralCurve(args.y_trunc)
     emit(eo_invariant(args.g, args.n, curve).to_obj())
     return 0
 

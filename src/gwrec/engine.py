@@ -26,9 +26,6 @@ from typing import NamedTuple
 
 from .algebra import SymRat, bipartitions, c_factor, compositions, dot
 
-class SplitAmbiguityError(AssertionError):
-    """More than one splitting class passed the dimension filter."""
-
 
 class InvariantKey(NamedTuple):
     """Canonical identity of one bracket: target dimension, genus, and the
@@ -44,10 +41,6 @@ class InvariantKey(NamedTuple):
     def make(cls, N, g, insertions) -> "InvariantKey":
         ins = tuple(sorted((int(m), int(k)) for m, k in insertions))
         return cls(int(N), int(g), ins)
-
-    @property
-    def n(self) -> int:
-        return len(self.ins)
 
     def degree(self):
         return degree_of(self.N, self.g, self.ins)
@@ -103,6 +96,14 @@ def degree_of(N: int, g: int, insertions):
     return d if d >= 0 else None
 
 
+def _forced_class(N: int, g: int, insertions) -> int:
+    """The one class exponent e in [0, N] that, added to the exponent of one
+    of the insertions, makes the dimension excess a multiple of N + 1: the
+    only class a splitting or chain factor can carry.  Whether the degree it
+    forces is non-negative is left to the caller."""
+    return -_dim_excess(N, g, insertions) % (N + 1)
+
+
 def _without(ins, idx):
     return ins[:idx] + ins[idx + 1 :]
 
@@ -113,27 +114,19 @@ def _replace(ins, idx, new):
 
 def _split_keys(N, left, g, right):
     """The two factor keys of one recursion splitting: genus 0 with
-    left + tau_0(w^j) and genus g with right + tau_0(w^(N-j)), for the class
-    j that gives both a non-negative integer degree; None when no j does.
-
-    Each candidate j is tested on the integer dimension excesses, so keys
-    are built only for the hit."""
-    a = _dim_excess(N, 0, left) - 1
-    b = _dim_excess(N, g, right) + N - 1
-    M = N + 1
-    hits = [
-        j for j in range(M)
-        if a + j >= 0 and b - j >= 0 and not (a + j) % M and not (b - j) % M
-    ]
-    if len(hits) > 1:
-        raise SplitAmbiguityError(
-            f"splitting class not unique: j in {hits} for {left} | {right}"
-        )
-    if not hits:
+    left + tau_0(w^j) and genus g with right + tau_0(w^(N-j)), where j is
+    the class the left factor forces; None when either factor's degree is
+    negative or the right one's is fractional.  Keys are built only then."""
+    left = left + [(0, 0)]
+    j = _forced_class(N, 0, left)
+    # N + 1 times each factor's degree, the left one a multiple by choice of j.
+    a = _dim_excess(N, 0, left) + j
+    b = _dim_excess(N, g, right) + N - 1 - j
+    if a < 0 or b < 0 or b % (N + 1):
         return None
-    j = hits[0]
+    left[-1] = (0, j)
     return (
-        InvariantKey(N, 0, tuple(sorted(left + [(0, j)]))),
+        InvariantKey(N, 0, tuple(sorted(left))),
         InvariantKey(N, g, tuple(sorted(right + [(0, N - j)]))),
     )
 
@@ -195,9 +188,6 @@ class Engine:
                     )
                 stack.append((need, self._compute(need)))
                 pending.add(need)
-
-    def stationary(self, N, g, ms) -> SymRat:
-        return self.invariant(N, g, [(m, N) for m in ms])
 
     # ------------------------------------------------------------------
     # dispatch
@@ -272,18 +262,18 @@ class Engine:
     # ------------------------------------------------------------------
     # genus zero, one and two insertions (closed forms and reductions).
     # These helpers invert the divisor rule through one another; they are
-    # generators joined by `yield from`, returning a Fraction.
+    # generators joined by `yield from`, returning a Fraction.  Every key
+    # they build keeps the dimension excess of the caller's, so the degree
+    # d is passed down.  `_compute` sends tau_0(1), tau_0(w) and tau_1(1)
+    # at d >= 1 to the string, divisor and dilaton routes, and the helpers
+    # never add tau_0(1) or tau_1(1), so neither reaches `_g0_two`.
 
-    def _g0_small(self, N, ins, d=...):
+    def _g0_small(self, N, ins, d):
         ins = tuple(sorted(ins))
         memo_key = (N, ins)
         if memo_key in self._g0_memo:
             return self._g0_memo[memo_key]
-        if d is ...:
-            d = degree_of(N, 0, ins)
-        if d is None:
-            val = Fraction(0)
-        elif len(ins) == 0:
+        if len(ins) == 0:
             val = Fraction(1) if (N == 1 and d == 1) else Fraction(0)
         elif len(ins) == 1:
             val = yield from self._g0_one(N, ins[0], d)
@@ -301,45 +291,35 @@ class Engine:
         if m == 0:
             return Fraction(0)
         # Raise by a divisor insertion, then peel the correction term.
-        two = yield from self._g0_small(N, ((0, 1), A))
-        corr = yield from self._g0_small(N, ((m - 1, k + 1),))
+        two = yield from self._g0_small(N, ((0, 1), A), d)
+        corr = yield from self._g0_small(N, ((m - 1, k + 1),), d)
         return (two - corr) / d
 
     def _g0_two(self, N, ins, d):
         if d <= 0:
             return Fraction(0)
         A, B = ins
-        if A == (0, 0) or B == (0, 0):
-            other = B if A == (0, 0) else A
-            m, k = other
-            if m == 0:
-                return Fraction(0)
-            return (yield from self._g0_small(N, ((m - 1, k),)))
-        if A == (1, 0) or B == (1, 0):
-            other = B if A == (1, 0) else A
-            return -(yield from self._g0_small(N, (other,)))
         (m1, k1), (m2, k2) = A, B
         if k1 == N and k2 == N:
             return Fraction(
                 1, c_factor(N + 1, m1) * c_factor(N + 1, m2) * d
             )
-        if m1 == 0 and m2 == 0:
-            return Fraction(0)  # both primary, neither dual to a point
+        # Two primaries at d >= 1 are both tau_0(pt), so one is a descendant.
         if m1 == 0 or m2 == 0:
             desc, prim = (B, A) if m1 == 0 else (A, B)
             m, k = desc
             if k == N:
                 return Fraction(1, c_factor(N + 1, m) * d)
             three = yield from self._trr0(N, tuple(sorted(((0, 1),) + ins)))
-            corr = yield from self._g0_small(N, ((m - 1, k + 1), prim))
+            corr = yield from self._g0_small(N, ((m - 1, k + 1), prim), d)
             return (three - corr) / d
         # Two descendants, not both stationary.
         three = yield from self._trr0(N, tuple(sorted(((0, 1),) + ins)))
         corr = Fraction(0)
         if k1 < N:
-            corr += yield from self._g0_small(N, ((m1 - 1, k1 + 1), B))
+            corr += yield from self._g0_small(N, ((m1 - 1, k1 + 1), B), d)
         if k2 < N:
-            corr += yield from self._g0_small(N, (A, (m2 - 1, k2 + 1)))
+            corr += yield from self._g0_small(N, (A, (m2 - 1, k2 + 1)), d)
         return (three - corr) / d
 
     # ------------------------------------------------------------------
@@ -427,16 +407,6 @@ class Engine:
         self._bb_memo[memo_key] = alt
         return alt
 
-    def _chain_class(self, N, ins):
-        """Unique exponent e ∈ [0, N] completing a genus-0 factor whose
-        insertions are given with a class-0 placeholder at the slot that is
-        to carry w^e; the degree sign is checked by the caller through the
-        invariant itself."""
-        total = sum(mm + kk for mm, kk in ins)
-        n = len(ins)
-        # Solve total + e = (N-3) + n (mod N+1).
-        return ((N - 3) + n - total) % (N + 1)
-
     def _bb_sum(self, N, first_class, m, k, extras, beta) -> Fraction:
         total = Fraction(0)
         ne = len(extras)
@@ -452,7 +422,7 @@ class Engine:
                     for i in range(kk):
                         if i < kk - 1:
                             base = [(0, c)] + groups[i]
-                            e = self._chain_class(N, [(comp[i], 0)] + base)
+                            e = _forced_class(N, 0, [(comp[i], 0)] + base)
                             factor_ins = base + [(comp[i], e)]
                             nxt = N - e
                         else:
@@ -507,14 +477,14 @@ class Engine:
         for alpha in range(3 * g - 1):
             beta = 3 * g - 2 - alpha
             for left, right in bipartitions(rest):
-                for j in range(N + 1):
-                    gkey = InvariantKey(N, g, tuple(sorted(right + [(alpha, j)])))
-                    if gkey.degree() is None:
-                        continue
-                    bb = self.beta_bracket(N, N - j, (mm, k), left, beta)
-                    if bb == 0:
-                        continue
-                    terms.append((bb, gkey))
+                j = _forced_class(N, g, right + [(alpha, 0)])
+                gkey = InvariantKey(N, g, tuple(sorted(right + [(alpha, j)])))
+                if gkey.degree() is None:
+                    continue
+                bb = self.beta_bracket(N, N - j, (mm, k), left, beta)
+                if bb == 0:
+                    continue
+                terms.append((bb, gkey))
         return terms
 
     # ------------------------------------------------------------------
@@ -563,23 +533,22 @@ class Engine:
 
     def _wdvv_f(self, N, pair1, pair2, E, skip) -> Fraction:
         """One side of the associativity identity: sum over splittings of E
-        and the dual class of products of two primary invariants.  The term
-        with none of E on the left and dual exponent `skip` is omitted so
-        the caller can solve for it."""
+        of products of two primary invariants, the dual class forced by the
+        left factor.  The term with none of E on the left and dual exponent
+        `skip` is omitted so the caller can solve for it."""
         total = Fraction(0)
         for chosen, other in bipartitions(E):
-            left_base = list(pair1) + chosen
-            right_base = list(pair2) + other
-            for e in range(N + 1):
-                if e == skip and not chosen:
-                    continue
-                f1 = self.wdvv_primary(N, left_base + [e])
-                if f1 == 0:
-                    continue
-                f2 = self.wdvv_primary(N, right_base + [N - e])
-                if f2 == 0:
-                    continue
-                total += f1 * f2
+            left = list(pair1) + chosen
+            e = _forced_class(N, 0, [(0, a) for a in left + [0]])
+            if e == skip and not chosen:
+                continue
+            f1 = self.wdvv_primary(N, left + [e])
+            if f1 == 0:
+                continue
+            f2 = self.wdvv_primary(N, list(pair2) + other + [N - e])
+            if f2 == 0:
+                continue
+            total += f1 * f2
         return total
 
     # ------------------------------------------------------------------
@@ -596,15 +565,3 @@ class Engine:
 
 
 DEFAULT_ENGINE = Engine()
-
-
-def invariant(N, g, insertions) -> SymRat:
-    return DEFAULT_ENGINE.invariant(N, g, insertions)
-
-
-def wdvv_primary(N, class_exponents) -> Fraction:
-    return DEFAULT_ENGINE.wdvv_primary(N, class_exponents)
-
-
-def counterexample_f(m) -> Fraction:
-    return DEFAULT_ENGINE.counterexample_f(m)

@@ -22,9 +22,10 @@ from .algebra import (
     c_factor,
     ceil_div,
     compositions,
+    dot,
     format_rat,
 )
-from .engine import DEFAULT_ENGINE, Engine, degree_of
+from .engine import DEFAULT_ENGINE, Engine, _forced_class, degree_of
 from .moduli import psi_intersection
 
 
@@ -194,9 +195,11 @@ def quasi_fit(samples, N, nvars, degree_bound) -> QuasiPoly:
 
 
 def stationary_parity(N, g, n, fixed=()):
-    """Residue class of sum(m_i) mod N+1 on which the bracket can be nonzero."""
-    extra = sum(m + k for m, k in fixed)
-    return ((N - 3) * (1 - g) + n + len(fixed) - extra - n * N) % (N + 1)
+    """Residue class of sum(m_i) mod N+1 on which the bracket of `fixed`
+    and n stationary slots can be nonzero: the class that the dimension
+    constraint forces on the slots' levels, read off the bracket at level
+    zero."""
+    return _forced_class(N, g, list(fixed) + [(0, N)] * n)
 
 
 def _normalized(engine, N, g, ms, fixed=()) -> SymRat:
@@ -214,6 +217,10 @@ def fit_stationary(spec: FitSpec, engine: Engine = DEFAULT_ENGINE) -> QuasiPoly:
     N, g, n = spec.N, spec.g, spec.n
     mod = N + 1
     D = spec.degree_bound
+    if D < 0:
+        raise ValueError(
+            f"degree bound 3g-3+n+len(fixed) = {D} is negative: nothing to fit"
+        )
     want = stationary_parity(N, g, n, spec.fixed_insertions)
     cosets = [
         r
@@ -315,10 +322,7 @@ class StationaryFamily:
                         f"{self.degree}: {exc}"
                     ) from None
                 t = (x - base) // mod
-                out = ZERO
-                for (j,), d in newton.items():
-                    out = out + d * binomial(t, j)
-                return out
+                return SymRat.of(dot((d, binomial(t, j)) for (j,), d in newton.items()))
         return _normalized(self.engine, self.N, self.g, v)
 
 
@@ -411,13 +415,11 @@ def verify_p_string_divisor(
         # string: p(-N, m) = sum_i ceil(m_i/(N+1)) p(..., m_i - 1, ...)
         if (sum(ms) + 1) % mod == stationary_parity(N, g, n + 1):
             lhs = fam_n1.value((-N,) + ms)
-            rhs = SymRat(0)
-            for i, m in enumerate(ms):
-                if m == 0:
-                    continue  # the decremented term drops
-                rhs = rhs + ceil_div(m, mod) * fam_n.value(
-                    ms[:i] + (m - 1,) + ms[i + 1 :]
-                )
+            # A slot at level zero has no decremented term.
+            rhs = SymRat.of(dot(
+                (ceil_div(m, mod), fam_n.value(ms[:i] + (m - 1,) + ms[i + 1 :]))
+                for i, m in enumerate(ms) if m
+            ))
             if lhs != rhs:
                 return VerificationReport(
                     claim, "fail", {"form": "string", "m": ms, "lhs": lhs, "rhs": rhs}

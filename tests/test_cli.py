@@ -136,6 +136,20 @@ class TestVerifyCommands:
         rc = main(["verify", "bogus"])
         assert rc == 2
 
+    @pytest.mark.parametrize("y_trunc", ["0", "-2"])
+    def test_eo_truncation_below_one_is_usage_error(self, capsys, y_trunc):
+        rc, recs, err = run(capsys, "eo", "--g", "1", "--n", "1", "--y-trunc", y_trunc)
+        assert rc == 2
+        assert recs == []
+        assert "y_trunc must be >= 1" in err
+
+    @pytest.mark.parametrize("argv", [("fit",), ("verify", "top")])
+    def test_negative_degree_bound_is_usage_error(self, capsys, argv):
+        rc, recs, err = run(capsys, *argv, "--N", "1", "--g", "0", "--n", "1")
+        assert rc == 2
+        assert recs == []
+        assert "degree bound" in err
+
     @pytest.mark.parametrize("argv", [("eo",), ("verify", "pole")])
     def test_negative_genus_is_usage_error(self, capsys, argv):
         rc, recs, err = run(capsys, *argv, "--g", "-1", "--n", "5")

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gwrec.algebra import SymRat, c_factor
 from gwrec.cli import save_cache
@@ -12,6 +14,8 @@ from gwrec.engine import (
     DEFAULT_ENGINE,
     Engine,
     InvariantKey,
+    _dim_excess,
+    _forced_class,
     _split_keys,
     degree_of,
 )
@@ -36,13 +40,41 @@ def _golden_keys():
                         yield N, g, [(0, k) for k in ks] + [(m, N) for m in ms]
 
 
-def test_engine_golden_digest(tmp_path):
+def _cache_digest(keys, tmp_path):
     eng = Engine()
-    for N, g, ins in _golden_keys():
+    for N, g, ins in keys:
         eng.invariant(N, g, ins)
     path = tmp_path / "cache.jsonl"
     save_cache(eng.cache, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_ENGINE
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_engine_golden_digest(tmp_path):
+    assert _cache_digest(_golden_keys(), tmp_path) == GOLDEN_ENGINE
+
+
+# sha256 of the save_cache bytes of a fresh engine after evaluating
+# _golden_keys_genus2(), computed while every splitting class was still
+# found by trying all N + 1 of them.
+GOLDEN_ENGINE_GENUS2 = "c3ad644fb0c387044b00917091245d247f6007aa4ce2b201ef3b128e01b8d9ca"
+
+
+def _golden_keys_genus2():
+    """N in {1, 2}, g = 2: one or two stationary insertions at levels 5..9,
+    alone or with tau_0(w) or tau_0(pt), where the degree is integral.  The
+    memo then holds genus-2 recursion terms, chain brackets and the zero
+    chain factors `_bb_rec` evaluates."""
+    for N in (1, 2):
+        for s in (1, 2):
+            for ms in combinations_with_replacement(range(5, 10), s):
+                for extra in ([], [(0, 1)], [(0, N)]):
+                    ins = extra + [(m, N) for m in ms]
+                    if degree_of(N, 2, ins) is not None:
+                        yield N, 2, ins
+
+
+def test_engine_golden_digest_genus2(tmp_path):
+    assert _cache_digest(_golden_keys_genus2(), tmp_path) == GOLDEN_ENGINE_GENUS2
 
 
 class TestDegreeOf:
@@ -53,6 +85,20 @@ class TestDegreeOf:
 
     def test_negative_degree_is_none(self):
         assert degree_of(1, 0, [(0, 0)]) is None
+
+
+_insertions = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(0, 5)), max_size=5
+)
+
+
+class TestForcedClass:
+    @given(st.integers(1, 5), st.integers(0, 3), _insertions)
+    def test_unique_class_completing_the_excess(self, N, g, ins):
+        ins = [(m, min(k, N)) for m, k in ins]
+        excess = _dim_excess(N, g, ins)
+        solutions = [e for e in range(N + 1) if (excess + e) % (N + 1) == 0]
+        assert solutions == [_forced_class(N, g, ins)]
 
 
 class TestClosedForms:
@@ -326,12 +372,51 @@ class TestTrrgExpand:
         with pytest.raises(ValueError):
             E.trrg_expand(1, 2, [(4, 1)], 0)
 
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_genus2_terms_against_every_class(self, N):
+        g = 2
+        lo = 3 * g - 1
+        small = [(m, k) for m in range(2) for k in range(N + 1)]
+        for m in (lo, lo + 1):
+            for k in range(N + 1):
+                for r in (0, 1, 2):
+                    for rest in combinations_with_replacement(small, r):
+                        ins = tuple(sorted(((m, k),) + rest))
+                        piv = ins.index((m, k))
+                        assert E.trrg_expand(N, g, ins, piv) == _ref_trrg(
+                            N, g, ins, piv
+                        ), (N, ins)
+
     def test_genus2_sum_equals_invariant(self):
         for m in (6, 8):
             total = SymRat(0)
             for bb, gkey in E.trrg_expand(1, 2, [(m, 1)], 0):
                 total = total + bb * E.invariant(gkey.N, 2, gkey.ins)
             assert total == E.invariant(1, 2, [(m, 1)])
+
+
+def _ref_trrg(N, g, ins, piv):
+    """The genus-g recursion terms, the class of the genus-g factor found
+    by trying every j in [0, N]: the terms are listed by the split of the
+    contact order, then the subset of the other insertions that goes to the
+    chain, then j."""
+    m, k = ins[piv]
+    rest = ins[:piv] + ins[piv + 1 :]
+    out = []
+    for alpha in range(3 * g - 1):
+        beta = 3 * g - 2 - alpha
+        for r in range(len(rest) + 1):
+            for U in combinations(range(len(rest)), r):
+                left = [rest[i] for i in U]
+                right = [rest[i] for i in range(len(rest)) if i not in U]
+                for j in range(N + 1):
+                    gkey = InvariantKey.make(N, g, right + [(alpha, j)])
+                    if gkey.degree() is None:
+                        continue
+                    bb = E.beta_bracket(N, N - j, (m - 3 * g + 1, k), left, beta)
+                    if bb:
+                        out.append((bb, gkey))
+    return out
 
 
 def _pi0(g, ms):

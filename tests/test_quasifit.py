@@ -124,6 +124,13 @@ class TestFitStationary:
                 ppt = tuple(pt[p] for p in perm)
                 assert q.branches[pres].eval(ppt) == poly.eval(pt)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_negative_degree_bound_raises_before_sampling(self, n):
+        eng = Engine()
+        with pytest.raises(ValueError, match="degree bound"):
+            fit_stationary(FitSpec(N=1, g=0, n=n), eng)
+        assert eng.cache == {}
+
     def test_min_m_zero_equals_min_m_one_for_genus0(self):
         qa = fit_stationary(FitSpec(N=1, g=0, n=3, min_m=0))
         qb = fit_stationary(FitSpec(N=1, g=0, n=3, min_m=1))
