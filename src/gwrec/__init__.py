@@ -6,7 +6,6 @@ from .algebra import (
     LaurentSeries,
     MultiPoly,
     QuasiPoly,
-    Rat,
     SymRat,
     c_factor,
     format_rat,

@@ -9,11 +9,9 @@ floating point enters anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul, sub
-
-Rat = Fraction
 
 
 class MissingAtomError(KeyError):
@@ -179,17 +177,11 @@ class SymRat:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return self * (Fraction(1) / Fraction(other))
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return not self.atoms and self.scalar == other
         o = SymRat.of(other)
         return self.scalar == o.scalar and self.atoms == o.atoms
-
-    def __hash__(self):
-        return hash((self.scalar, frozenset(self.atoms.items())))
 
     def __bool__(self):
         return bool(self.scalar) or bool(self.atoms)
@@ -290,8 +282,21 @@ class MultiPoly:
         return cls(nvars, {(0,) * nvars: SymRat.of(c)})
 
     @classmethod
-    def monomial(cls, nvars, exps, c=1):
-        return cls(nvars, {tuple(exps): SymRat.of(c)})
+    def from_newton(cls, newton, base, step) -> "MultiPoly":
+        """The monomial form of sum_alpha c_alpha prod_k
+        binomial((x_k - base_k)/step, alpha_k), from the Newton coefficients
+        `newton` = {alpha: c_alpha}."""
+        top = max(map(sum, newton), default=0)
+        binoms = [[_binomial_coeffs(b, step, a) for a in range(top + 1)] for b in base]
+        terms: dict = {}
+        for alpha, c in newton.items():
+            if not c:
+                continue
+            for e in product(*(range(a + 1) for a in alpha)):
+                w = prod(binoms[k][a][ek] for k, (a, ek) in enumerate(zip(alpha, e)))
+                if w:
+                    terms[e] = terms.get(e, ZERO) + c * w
+        return cls(len(base), terms)
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -300,24 +305,12 @@ class MultiPoly:
         return self.terms.get(tuple(exps), ZERO)
 
     def __add__(self, other):
-        if isinstance(other, MultiPoly):
-            if other.nvars != self.nvars:
-                raise ValueError("nvars mismatch")
-            terms = dict(self.terms)
-            for e, c in other.terms.items():
-                terms[e] = terms.get(e, ZERO) + c
-            return MultiPoly(self.nvars, terms)
-        return self + MultiPoly.const(self.nvars, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, MultiPoly):
-            return self + (-other)
-        return self + MultiPoly.const(self.nvars, -SymRat.of(other))
+        if other.nvars != self.nvars:
+            raise ValueError("nvars mismatch")
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, ZERO) + c
+        return MultiPoly(self.nvars, terms)
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
@@ -399,12 +392,8 @@ class QuasiPoly:
                     raise ValueError("branch arity mismatch")
                 self.branches[r] = p
 
-    @property
-    def modulus(self) -> int:
-        return self.N + 1
-
     def residue(self, point):
-        return tuple(int(x) % self.modulus for x in point)
+        return tuple(int(x) % (self.N + 1) for x in point)
 
     def eval(self, point) -> SymRat:
         if len(point) != self.nvars:
@@ -413,9 +402,6 @@ class QuasiPoly:
         if branch is None:
             return ZERO
         return branch.eval(point)
-
-    def degree(self) -> int:
-        return max((p.degree() for p in self.branches.values()), default=0)
 
     def to_obj(self):
         return {
@@ -460,7 +446,7 @@ class LaurentSeries:
 
     __slots__ = ("var", "center", "min_exp", "trunc", "nums", "den", "_coeffs")
 
-    def __init__(self, var, center, min_exp, coeffs, trunc=None):
+    def __init__(self, var, center, min_exp, coeffs, trunc):
         coeffs = [Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in coeffs))
         nums = [c.numerator * (den // c.denominator) for c in coeffs]
@@ -474,8 +460,6 @@ class LaurentSeries:
         return out
 
     def _set(self, var, center, min_exp, nums, den, trunc):
-        if trunc is None:
-            trunc = min_exp + len(nums)
         if trunc < min_exp + len(nums):
             nums = nums[: trunc - min_exp]
         lead = 0
@@ -641,11 +625,6 @@ class LaurentSeries:
         # Known to relative order n, centred at exponent -min_exp.
         return self._make(self.var, self.center, -self.min_exp, out, den, -self.min_exp + n)
 
-    def __truediv__(self, other):
-        if isinstance(other, LaurentSeries):
-            return self * other.invert()
-        return self * (Fraction(1) / Fraction(other))
-
     def deriv(self) -> "LaurentSeries":
         m = self.min_exp
         return self._make(
@@ -684,8 +663,7 @@ class LaurentSeries:
 
 
 def binomial(n: int, k: int) -> int:
-    if k < 0:
-        return 0
+    """binomial(n, k) for k >= 0 and any integer n."""
     if n >= 0:
         return comb(n, k) if k <= n else 0
     # Falling-factorial definition for negative upper argument.
@@ -693,6 +671,17 @@ def binomial(n: int, k: int) -> int:
     for i in range(k):
         out *= n - i
     return out // factorial(k)
+
+
+def _binomial_coeffs(base, step, k):
+    """Monomial coefficients, lowest degree first, of binomial((x - base)/step, k)."""
+    out = [Fraction(1)]
+    for j in range(k):
+        # times (x - base - j*step) / (step*(j+1))
+        den = step * (j + 1)
+        shift = Fraction(-(base + j * step), den)
+        out = [shift * a + Fraction(b, den) for a, b in zip(out + [0], [0] + out)]
+    return out
 
 
 def compositions(total: int, parts: int):

@@ -288,9 +288,8 @@ class Engine:
             return Fraction(0)
         if k == N:
             return Fraction(1, c_factor(N + 1, m) * d * d)
-        if m == 0:
-            return Fraction(0)
-        # Raise by a divisor insertion, then peel the correction term.
+        # A primary below the point class has no positive degree alone, so
+        # m >= 1.  Raise by a divisor insertion, then peel the correction term.
         two = yield from self._g0_small(N, ((0, 1), A), d)
         corr = yield from self._g0_small(N, ((m - 1, k + 1),), d)
         return (two - corr) / d
@@ -298,28 +297,22 @@ class Engine:
     def _g0_two(self, N, ins, d):
         if d <= 0:
             return Fraction(0)
-        A, B = ins
-        (m1, k1), (m2, k2) = A, B
+        (m1, k1), (m2, k2) = ins
         if k1 == N and k2 == N:
             return Fraction(
                 1, c_factor(N + 1, m1) * c_factor(N + 1, m2) * d
             )
-        # Two primaries at d >= 1 are both tau_0(pt), so one is a descendant.
-        if m1 == 0 or m2 == 0:
-            desc, prim = (B, A) if m1 == 0 else (A, B)
-            m, k = desc
-            if k == N:
-                return Fraction(1, c_factor(N + 1, m) * d)
-            three = yield from self._trr0(N, tuple(sorted(((0, 1),) + ins)))
-            corr = yield from self._g0_small(N, ((m - 1, k + 1), prim), d)
-            return (three - corr) / d
-        # Two descendants, not both stationary.
+        # Two primaries at d >= 1 are both tau_0(pt), so the sorted pair is
+        # a primary and a descendant when m1 == 0.
+        if m1 == 0 and k2 == N:
+            return Fraction(1, c_factor(N + 1, m2) * d)
+        # Raise by a divisor insertion and peel one correction term for each
+        # descendant below the point class.
         three = yield from self._trr0(N, tuple(sorted(((0, 1),) + ins)))
         corr = Fraction(0)
-        if k1 < N:
-            corr += yield from self._g0_small(N, ((m1 - 1, k1 + 1), B), d)
-        if k2 < N:
-            corr += yield from self._g0_small(N, (A, (m2 - 1, k2 + 1)), d)
+        for i, (m, k) in enumerate(ins):
+            if m >= 1 and k < N:
+                corr += yield from self._g0_small(N, _replace(ins, i, (m - 1, k + 1)), d)
         return (three - corr) / d
 
     # ------------------------------------------------------------------

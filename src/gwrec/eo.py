@@ -74,16 +74,6 @@ class InfinitySeries:
             raise ValueError("beyond truncation depth")
         return self.coeffs.get(exps, Fraction(0))
 
-    def to_obj(self):
-        return {
-            "n": self.n,
-            "depth": self.depth,
-            "terms": [
-                {"exps": list(e), "coeff": format_rat(c)}
-                for e, c in sorted(self.coeffs.items())
-            ],
-        }
-
 
 class _Chart:
     """Exact local data of the curve at one branch point, to truncation T."""
@@ -256,8 +246,7 @@ class SpectralCurve:
                 right = self._piece(g2, "zhat", gJ, ch, bound)
                 add(_mul_factors(left, right, ch))
         for skey, w in bracket.items():
-            if w.is_zero():
-                continue
+            # A zero series has min_exp = T > 0, so the range of j is empty.
             jmax = 2 - w.min_exp
             for j in range(2, jmax + 1):
                 res = ch.kernel(j).product_residue(w)
@@ -323,11 +312,7 @@ def _reflect(terms) -> dict:
 def _mul_factors(f1, f2, ch):
     out = {}
     for k1, s1 in f1.items():
-        if s1.is_zero():
-            continue
         for k2, s2 in f2.items():
-            if s2.is_zero():
-                continue
             key = tuple(sorted(k1 + k2))
             prod = s1 * s2
             out[key] = out.get(key, ch.zero()) + prod
@@ -411,8 +396,6 @@ def _tensor_accumulate(out, rows, c, depth):
         lo = max(row.min_exp, 0)
         for e in range(lo, min(row.trunc, depth - total + 1)):
             v = row.coefficient(e)
-            if v == 0:
-                continue
             remaining_min = 2 * (n - i - 1)
             if total + e + remaining_min > depth:
                 break
@@ -468,9 +451,9 @@ def compare_eo_gw(
     gw = gw_generating(g, n, depth, engine)
     excluded = []
     slots = set(gw) | {tuple(e - 2 for e in exps) for exps in eo}
+    # Every slot has levels m >= 0 with sum(m + 2) <= depth: the basis
+    # series start at u^2 and the expansions stop at depth.
     for ms in sorted(slots):
-        if any(m < 0 for m in ms) or sum(m + 2 for m in ms) > depth:
-            continue
         val = gw.get(ms, SymRat(0))
         try:
             want = val.resolve(atom_values)
@@ -538,7 +521,9 @@ def _xm_over_xp(m):
 
 
 def _rep_mul_pole(rep, a, k):
-    """Multiply a decomposition by (z - a)^{-k}."""
+    """Multiply a decomposition from `_xm_over_xp` by (z - a)^{-k}, k >= 2
+    (the invariants have no first-order poles): its terms are z^0, z^1 and
+    simple poles."""
     out = {}
 
     def put(key, c):
@@ -546,24 +531,16 @@ def _rep_mul_pole(rep, a, k):
             out[key] = out.get(key, Fraction(0)) + c
 
     for key, c in rep.items():
-        if key[0] == "m":
-            e = key[1]
-            if e == 0:
-                put(("p", a, k), c)
-            elif e == 1:
-                if k == 1:
-                    put(("m", 0), c)
-                else:
-                    put(("p", a, k - 1), c)
-                put(("p", a, k), c * a)
-            else:
-                raise NotImplementedError
+        if key == ("m", 0):
+            put(("p", a, k), c)
+        elif key == ("m", 1):
+            # z = (z - a) + a
+            put(("p", a, k - 1), c)
+            put(("p", a, k), c * a)
         else:
-            _, b, l = key
-            if l != 1:
-                raise NotImplementedError
+            b = key[1]
             if b == a:
-                put(("p", a, k + l), c)
+                put(("p", a, k + 1), c)
             else:
                 for r in range(k):
                     put(("p", a, k - r), c * Fraction((-1) ** r, (a - b) ** (r + 1)))
@@ -572,16 +549,11 @@ def _rep_mul_pole(rep, a, k):
 
 
 def _rep_deriv(rep):
+    """Derivative of a sum of poles c (z - a)^{-j}."""
     out = {}
-    for key, c in rep.items():
-        if key[0] == "m":
-            if key[1] >= 1:
-                nk = ("m", key[1] - 1)
-                out[nk] = out.get(nk, Fraction(0)) + c * key[1]
-        else:
-            _, a, j = key
-            nk = ("p", a, j + 1)
-            out[nk] = out.get(nk, Fraction(0)) - c * j
+    for (_, a, j), c in rep.items():
+        nk = ("p", a, j + 1)
+        out[nk] = out.get(nk, Fraction(0)) - c * j
     return {k: v for k, v in out.items() if v}
 
 

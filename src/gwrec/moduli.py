@@ -11,7 +11,7 @@ single reference.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .algebra import MultiPoly, QuasiPoly, binomial, bipartitions, compositions
 
@@ -96,9 +96,9 @@ def _psi_recurse(g, beta) -> Fraction:
                     continue
                 k1 = tuple(sorted([a] + I))
                 k2 = tuple(sorted([b] + J))
+                # The levels of k1 and k2 add up to their two dimensions
+                # together, so k2 meets its own once k1 does.
                 if sum(k1) != 3 * g1 - 3 + len(k1):
-                    continue
-                if sum(k2) != 3 * g2 - 3 + len(k2):
                     continue
                 inner += _psi(g1, k1) * _psi(g2, k2)
         total += half * w * inner
@@ -141,11 +141,10 @@ def point_invariant_closed(g: int, m, d: int) -> Fraction:
     if sum(m) != 3 * g - 3 + n + d:
         return Fraction(0)
     # The binomial closed form needs 2g - 2 + n > 0; below that, relabel
-    # just enough extra points as zero-level slots to stabilise.
+    # just enough extra points as zero-level slots to stabilise (there are
+    # d >= j of them, since the whole space is stable).
     if not _stable(g, n):
         j = 3 - 2 * g - n
-        if d < j:
-            return Fraction(0)
         return point_invariant_closed(g, m + (0,) * j, d - j) * Fraction(
             factorial(d - j), factorial(d)
         )
@@ -196,25 +195,13 @@ def n0_polynomial(g: int, n: int) -> QuasiPoly:
     """The degree 3g-3+n polynomial whose value at m is
     prod m_i! * <prod tau_{m_i} . exp(tau_0)>_g, as a one-branch QuasiPoly.
 
-    Coefficients are binomial expansions of falling factorials weighted by
-    psi intersection numbers.
+    It is sum_beta <tau_beta>_g prod_i m_i (m_i - 1) ... (m_i - beta_i + 1),
+    so its Newton coefficients at the origin are <tau_beta>_g prod beta_i!.
     """
     if not _stable(g, n):
         raise UnstableKeyError(f"(g, n) = ({g}, {n}) is unstable")
-    D = 3 * g - 3 + n
-    poly = MultiPoly.zero(n)
-    for beta in compositions(D, n):
-        w = psi_intersection(g, beta)
-        if not w:
-            continue
-        term = MultiPoly.const(n, w)
-        for i, bi in enumerate(beta):
-            # falling factorial m_i (m_i - 1) ... (m_i - b_i + 1)
-            ff = MultiPoly.const(n, 1)
-            for r in range(bi):
-                e = [0] * n
-                e[i] = 1
-                ff = ff * (MultiPoly.monomial(n, e) - r)
-            term = term * ff
-        poly = poly + term
-    return QuasiPoly(0, n, {(0,) * n: poly})
+    newton = {
+        beta: psi_intersection(g, beta) * prod(map(factorial, beta))
+        for beta in compositions(3 * g - 3 + n, n)
+    }
+    return QuasiPoly(0, n, {(0,) * n: MultiPoly.from_newton(newton, (0,) * n, 1)})

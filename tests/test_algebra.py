@@ -114,6 +114,10 @@ class TestSymRat:
         v = SymRat(Fraction(-3, 2), {"x": Fraction(5, 7)})
         assert SymRat.from_obj(v.to_obj()) == v
 
+    def test_float_operand_is_rejected(self):
+        with pytest.raises(TypeError):
+            SymRat(1) + 0.5
+
 
 class TestRatWire:
     def test_formats(self):
@@ -149,7 +153,37 @@ class TestQuasiPoly:
         assert q2.branches == q.branches
 
 
+def comb_signed(n, k):
+    """binomial(n, k) = n (n - 1) ... (n - k + 1) / k! for any integer n."""
+    out = Fraction(1)
+    for i in range(k):
+        out = out * (n - i) / (i + 1)
+    return out
+
+
 class TestMultiPoly:
+    @pytest.mark.parametrize("base,step", [((0, 0), 1), ((3, -1), 2), ((-2, 5), 3)])
+    def test_from_newton_is_the_binomial_sum(self, base, step):
+        # sum_alpha c_alpha prod_k binomial((x_k - base_k)/step, alpha_k),
+        # evaluated directly on the lattice base + step * Z^2
+        newton = {(0, 0): 2, (1, 0): Fraction(-1, 3), (2, 1): 5, (0, 3): SymRat.atom("A")}
+        p = MultiPoly.from_newton(newton, base, step)
+        assert p.degree() == 3
+        for t in [(0, 0), (1, 4), (-2, 3), (5, -1)]:
+            pt = tuple(b + step * x for b, x in zip(base, t))
+            want = sum(
+                (c * comb_signed(t[0], a[0]) * comb_signed(t[1], a[1])
+                 for a, c in newton.items()),
+                SymRat(0),
+            )
+            assert p.eval(pt) == want
+
+    def test_from_newton_drops_zero_coefficients(self):
+        assert MultiPoly.from_newton({(0,): 0, (2,): 0}, (1,), 1).terms == {}
+
+    def test_from_newton_without_variables(self):
+        assert MultiPoly.from_newton({(): 5}, (), 1) == MultiPoly.const(0, 5)
+
     def test_relabel_is_substitution(self):
         p = MultiPoly(3, {(2, 1, 0): 1})
         # result(x0,x1,x2) = p(x1, x2, x0)

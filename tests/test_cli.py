@@ -1,9 +1,11 @@
 import json
+import runpy
+import sys
 from fractions import Fraction
 
 import pytest
 
-from gwrec.algebra import SymRat
+from gwrec.algebra import QuasiPoly, SymRat
 from gwrec.cli import (
     CacheConflictError,
     Config,
@@ -42,6 +44,28 @@ class TestInvariantCommand:
         assert rc == 0
         assert recs[0]["value"] == {"scalar": "1/4", "atoms": {}}
         assert recs[0]["degree"] == 2
+
+    def test_no_insertions(self, capsys):
+        # the line has one degree-1 map with no marked point
+        rc, recs, _ = run(capsys, "invariant", "--N", "1", "--g", "0")
+        assert rc == 0
+        assert recs[0]["value"] == {"scalar": "1", "atoms": {}}
+        assert recs[0]["degree"] == 1
+
+    def test_divisor_alone_at_degree_zero(self, capsys):
+        rc, recs, _ = run(capsys, "invariant", "--N", "3", "--g", "0", "--ins", "0:1")
+        assert rc == 0
+        assert recs[0]["value"] == {"scalar": "0", "atoms": {}}
+        assert recs[0]["degree"] == 0
+
+    def test_module_entry_point(self, monkeypatch, capsys):
+        # python -m gwrec.cli runs a fresh copy of the module as __main__
+        monkeypatch.delitem(sys.modules, "gwrec.cli")
+        monkeypatch.setattr(sys, "argv", ["gwrec", "psi", "--g", "1", "--beta", "1"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("gwrec.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "1/24"
 
     def test_atom_record(self, capsys):
         rc, recs, _ = run(capsys, "invariant", "--N", "1", "--g", "1", "--ins", "0:1")
@@ -132,6 +156,53 @@ class TestVerifyCommands:
         rc, _, err = run(capsys, "verify", "dilaton", "--N", "2", "--g", "0")
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eo-compare", "--N", "2"),
+            ("eo-string", "--N", "2"),
+            ("pole", "--N", "3"),
+            ("example-f", "--N", "2", "--max-m", "5"),
+            ("asymptotics", "--N", "1", "--g", "0", "--n", "1", "--ray", "3", "--max-m", "50"),
+            ("asymptotics", "--N", "1", "--g", "0", "--n", "2", "--ray", "1,1", "--max-m", "50"),
+        ],
+    )
+    def test_check_outside_its_range_is_usage_error(self, capsys, argv):
+        # the line-only checks given another N, and an unstable family,
+        # which has no top form
+        rc, recs, err = run(capsys, "verify", *argv)
+        assert rc == 2
+        assert recs == []
+        assert err.startswith("error:") and ("N = 1" in err or "unstable" in err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--N", "1", "--k", "1", "--m", "3"),
+            ("--N", "1", "--m", "3,4"),
+            ("--N", "2", "--m", "3"),
+            ("--N", "1", "--k", "0,1"),
+        ],
+    )
+    def test_negative_off_the_coset_passes(self, capsys, argv):
+        rc, recs, _ = run(capsys, "verify", "negative", "--g", "0", *argv)
+        assert rc == 0
+        assert recs[0]["status"] == "pass"
+
+    @pytest.mark.parametrize("argv", [("--N", "2", "--k", "0"), ("--N", "1", "--k", "0,0")])
+    def test_negative_at_a_closed_form_pole_is_usage_error(self, capsys, argv):
+        rc, recs, err = run(capsys, "verify", "negative", "--g", "0", *argv)
+        assert rc == 2
+        assert recs == []
+        assert "pole" in err
+
+    def test_eo_string(self, capsys):
+        rc, recs, _ = run(
+            capsys, "verify", "eo-string", "--g", "1", "--n", "1", "--string-power", "1"
+        )
+        assert rc == 0
+        assert recs[0]["status"] == "pass"
+
     def test_usage_error_exit_code(self, capsys):
         rc = main(["verify", "bogus"])
         assert rc == 2
@@ -164,6 +235,14 @@ class TestPsiN0Commands:
         assert rc == 0
         assert recs[0]["value"] == "1/1152"
 
+    def test_n0_polynomial(self, capsys):
+        rc, recs, _ = run(capsys, "n0", "--g", "1", "--n", "2")
+        assert rc == 0
+        # (m1 (m1 - 1) + m1 m2 + m2 (m2 - 1)) / 24: every genus-1 two-point
+        # psi number is 1/24
+        got = QuasiPoly.from_obj(recs[0])
+        assert got.branches[(0, 0)].eval((3, 4)) == Fraction(6 + 12 + 12, 24)
+
     def test_point_invariant(self, capsys):
         rc, recs, _ = run(capsys, "n0", "--g", "1", "--point", "2", "--d", "1")
         assert rc == 0
@@ -179,6 +258,14 @@ class TestCacheIO:
         }
         save_cache(records, path)
         assert load_cache(path) == records
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        path = tmp_path / "cache.jsonl"
+        save_cache({InvariantKey.make(1, 0, [(2, 1)]): SymRat(Fraction(1, 4))}, path)
+        path.write_text("\n" + path.read_text() + "\n  \n")
+        rc, recs, _ = run(capsys, "cache", "validate", str(path))
+        assert rc == 0
+        assert recs == [{"path": str(path), "records": 1}]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"

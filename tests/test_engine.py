@@ -522,6 +522,13 @@ class TestWdvv:
     def test_line_three_point(self):
         assert E.wdvv_primary(1, [1, 1, 1]) == 1
 
+    def test_line_one_point(self):
+        # <pt>_1 on the line: the one degree-1 map through a point
+        assert E.wdvv_primary(1, [1]) == 1
+
+    def test_fractional_degree_is_zero(self):
+        assert E.wdvv_primary(1, [0]) == 0
+
     def test_divisor_padding(self):
         # <pt, pt, w> = d <pt, pt> = 1 on the plane
         assert E.wdvv_primary(2, [2, 2, 1]) == 1

@@ -7,7 +7,9 @@ import pytest
 
 from gwrec.algebra import LaurentSeries
 from gwrec.engine import DEFAULT_ENGINE as E
+from gwrec.engine import Engine
 from gwrec.eo import (
+    PoleBasisDifferential,
     SpectralCurve,
     _w_series,
     compare_eo_gw,
@@ -43,6 +45,9 @@ class TestRecursion:
         for assign in w.coeffs:
             for _, k in assign:
                 assert 2 <= k <= 6 * g - 4 + 2 * n
+
+    def test_asymmetric_differential_is_detected(self):
+        assert not PoleBasisDifferential(0, 2, {((1, 2), (1, 3)): Fraction(1)}).is_symmetric()
 
     @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2)])
     def test_stabilisation(self, g, n):
@@ -215,3 +220,56 @@ class TestPoleAsymptotics:
 
     def test_order_formula(self):
         assert eo_invariant(1, 2).max_order() == 6
+
+
+class TestChecksReportFailures:
+    """Every check can fail: each one is fed one wrong value and must
+    report it, with its documented witness."""
+
+    def test_eo_gw_comparison(self):
+        class OneSlotOff(Engine):
+            def invariant(self, N, g, insertions):
+                val = super().invariant(N, g, insertions)
+                return val + 1 if list(insertions) == [(0, 1)] * 3 else val
+
+        rep = compare_eo_gw(0, 3, 8, OneSlotOff())
+        assert rep.status == "fail"
+        assert rep.witness == {"slot": (0, 0, 0), "eo": 1, "gw": 2}
+
+    def test_string_part(self):
+        curve = SpectralCurve.for_target(0, 4)
+        curve.omega(0, 4)
+        lo = curve.omega(0, 3)
+        lo.coeffs[((1, 2), (1, 2), (1, 2))] += 1
+        rep = eo_string_dilaton_check(0, 3, 0, curve)
+        assert rep.status == "fail"
+        assert rep.witness["part"] == "string" and rep.witness["diff"]
+        assert isinstance(rep.to_obj()["witness"]["diff"], dict)
+
+    def test_dilaton_part(self):
+        # phi + t changes the dilaton residues at second-order poles; the
+        # string part never reads phi
+        curve = SpectralCurve.for_target(0, 4)
+        T = 4 * 4 + 10  # the chart order the check reads for (g, n + 1) = (0, 4)
+        for alpha in (1, -1):
+            ch = curve.chart(alpha, T)
+            ch.phi = ch.phi + LaurentSeries("t", ch.center, 1, [1], T)
+        rep = eo_string_dilaton_check(0, 3, 0, curve)
+        assert rep.status == "fail"
+        assert rep.witness["part"] == "dilaton" and rep.witness["diff"]
+
+    def test_pole_maximum_order(self):
+        curve = SpectralCurve.for_target(0, 3)
+        curve.omega(0, 3).coeffs[((1, 4), (1, 2), (1, 2))] = Fraction(1)
+        rep = pole_asymptotics_check(0, 3, curve)
+        assert rep.status == "fail"
+        assert rep.witness == {"max_order": 4, "expected": 2}
+
+    def test_pole_leading_coefficient(self):
+        curve = SpectralCurve.for_target(0, 3)
+        curve.omega(0, 3).coeffs[((1, 2), (1, 2), (1, 2))] += 1
+        rep = pole_asymptotics_check(0, 3, curve)
+        assert rep.status == "fail"
+        assert rep.witness == {
+            "alpha": 1, "beta": (0, 0, 0), "got": Fraction(3, 2), "expected": Fraction(1, 2),
+        }

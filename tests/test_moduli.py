@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -157,6 +159,27 @@ class TestN0Polynomial:
                 for i in range(2, x + 1):
                     fact *= i
             assert poly.eval(m) == fact * psi_intersection(g, m)
+
+
+# sha256 of json.dumps(n0_polynomial(g, n).to_obj(), sort_keys=True),
+# computed while the falling factorials were multiplied out term by term.
+GOLDEN_N0 = {
+    (0, 3): "dc52fb20690b046ca8ecf2aab5299efebc3e1b9c4071a3b4cb5af91f63eba0b4",
+    (0, 4): "a27eb5ed582df434247c61f7e4a7139071dafaab3e7fffbb406deb5820f9f5df",
+    (0, 5): "9b4e7e41b18a82ca83a20a1f68e5febbd404148a2b24120ec0d55dbfef93a285",
+    (1, 1): "220585a0aa1a4446996eb237989071ee1cec9b6a25cf5dd4cb0ea6493de06213",
+    (1, 2): "f9b2027f6ee8c9c9764583cec36084cf561cd3f137a92e996d420a535d0ccabb",
+    (1, 3): "e36a1cb9962d97263a70c4e6e85933062ec5eb9309d1a37627c57a801769e9cd",
+    (2, 1): "54368eea11c5487a27b809f42a61831f615c35b793ac822f4fbc345fdcae58d5",
+    (2, 2): "a8b0f2d4a54bc2068d3ac7f086ecf4e225d3d21847c63ac1971fa39733474b4a",
+    (3, 1): "175df3a3951167c5c3ba85aca28533f7850c624ca28081781280d8aa49c3085e",
+}
+
+
+@pytest.mark.parametrize("g,n", sorted(GOLDEN_N0))
+def test_n0_polynomial_golden_digest(g, n):
+    record = json.dumps(n0_polynomial(g, n).to_obj(), sort_keys=True)
+    assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN_N0[(g, n)]
 
 
 def _perms(beta):

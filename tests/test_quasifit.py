@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -22,7 +23,7 @@ from gwrec.quasifit import (
     verify_top_coefficients,
 )
 
-from gwrec.engine import Engine
+from gwrec.engine import Engine, InvariantKey
 from gwrec.quasifit import StationaryFamily
 
 ATOM_A = "gw[N=1;g=1;ins=(0,1)]"
@@ -249,6 +250,14 @@ class TestVerifiers:
         assert rep.status == "pass"
         assert rep.witness["deviation"] == Fraction(1, 80)
 
+    def test_asymptotics_steps_down_to_an_admissible_point(self):
+        # m = 81 is off the even coset, so the ray is read at m = 80
+        rep = asymptotics_report(
+            1, 1, 1, (1,), 81, atom_values=ATOMS, bound=Fraction(1, 40)
+        )
+        assert rep.witness["m"] == (80,)
+        assert rep.witness["deviation"] == Fraction(1, 80)
+
     def test_asymptotics_unresolved_atoms(self):
         rep = asymptotics_report(1, 1, 1, (2,), 40)
         assert rep.status == "inconclusive-atoms"
@@ -260,6 +269,77 @@ class TestVerifiers:
     def test_genus0_four_point_ratio_tends_to_one(self):
         rep = asymptotics_report(1, 0, 4, (1, 1, 1, 1), 60, bound=Fraction(1, 10))
         assert rep.status == "pass"
+
+
+class OneBracketOff(Engine):
+    """An engine whose public answer for one bracket is off by one."""
+
+    def __init__(self, N, g, insertions):
+        super().__init__()
+        self.off = InvariantKey.make(N, g, insertions)
+
+    def invariant(self, N, g, insertions):
+        val = super().invariant(N, g, insertions)
+        return val + 1 if InvariantKey.make(N, g, insertions) == self.off else val
+
+
+class TestVerifiersReportFailures:
+    """Every check can fail: each one is fed one wrong value and must
+    report it, with its documented witness."""
+
+    def test_top_coefficients(self):
+        q = fit_stationary(FitSpec(N=1, g=0, n=4))
+        res, poly = sorted(q.branches.items())[0]
+        e = (1, 0, 0, 0)
+        wrong = MultiPoly(4, {**poly.terms, e: poly.coeff(e) + 1})
+        rep = verify_top_coefficients(QuasiPoly(1, 4, {**q.branches, res: wrong}), 0, 4, 1)
+        assert rep.status == "fail"
+        assert rep.witness == {
+            "coset": res, "monomial": e, "got": Fraction(3, 2), "expected": Fraction(1, 2),
+        }
+
+    def test_negative_evaluation(self):
+        eng = OneBracketOff(2, 0, [(0, 1), (0, 2), (4, 2), (7, 2)])
+        rep = verify_negative_evaluation(2, 0, (1, 2), (4, 7), eng)
+        assert rep.status == "fail"
+        assert set(rep.witness) == {"engine", "family"}
+        assert rep.witness["engine"] - rep.witness["family"] == c_factor(3, 4) * c_factor(3, 7)
+        assert rep.to_obj()["witness"]["engine"] == repr(rep.witness["engine"])
+
+    def test_divisor_form(self):
+        eng = OneBracketOff(1, 0, [(0, 1)] * 3)
+        rep = verify_p_string_divisor(1, 0, 2, eng, max_m=4)
+        assert rep.status == "fail"
+        assert rep.witness == {"form": "divisor", "m": (0, 0), "lhs": 2, "rhs": 1}
+
+    def test_string_form(self):
+        # One wrong four-slot bracket would break the polynomial slice that
+        # extrapolates the string side to level -1 (and raise).  Adding
+        # m_0 m_1 m_2 m_3 to every normalised four-slot bracket keeps each
+        # slice linear and vanishes at level 0, where the divisor form reads
+        # the family, so only the string form sees it.
+        class ProductOff(Engine):
+            def invariant(self, N, g, insertions):
+                val = super().invariant(N, g, insertions)
+                if len(insertions) == 4:
+                    ms = [m for m, _ in insertions]
+                    val = val + Fraction(prod(ms), prod(c_factor(2, m) for m in ms))
+                return val
+
+        rep = verify_p_string_divisor(1, 0, 3, ProductOff(), max_m=4)
+        assert rep.status == "fail"
+        assert set(rep.witness) == {"form", "m", "lhs", "rhs"}
+        assert rep.witness["form"] == "string"
+        ms = rep.witness["m"]
+        assert rep.witness["lhs"] - rep.witness["rhs"] == -prod(ms)
+
+    def test_dilaton_derivative(self):
+        eng = OneBracketOff(1, 0, [(1, 0), (0, 1), (0, 1), (0, 1)])
+        rep = verify_dilaton_derivative(0, 3, eng)
+        assert rep.status == "fail"
+        assert set(rep.witness) == {"m", "lhs", "rhs"}
+        assert rep.witness["m"] == (0, 0, 0)
+        assert rep.witness["lhs"] - rep.witness["rhs"] == 1
 
 
 class TestParity:
