@@ -59,20 +59,55 @@ def c_factor_closed(N: int, m: int) -> Fraction:
     return out * Fraction(q) ** (m - N * q)
 
 
+# Decimal conversion in chunks of this many digits stays below the
+# interpreter's int-to-str digit limit (4300 by default), which a value
+# in the thousands of digits would otherwise hit.
+_CHUNK_DIGITS = 4000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _int_str(n: int) -> str:
+    """str(n) for an int of any length."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(f"{r:0{_CHUNK_DIGITS}d}")
+    return sign + str(n) + "".join(reversed(chunks))
+
+
+def _str_int(s: str) -> int:
+    """int(s) for a decimal string of any length."""
+    s = s.strip()
+    if len(s) <= _CHUNK_DIGITS:
+        return int(s)
+    sign, digits = (-1, s[1:]) if s[0] == "-" else (1, s.lstrip("+"))
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid decimal integer of {len(s)} characters")
+    head = len(digits) % _CHUNK_DIGITS or _CHUNK_DIGITS
+    out = int(digits[:head])
+    for i in range(head, len(digits), _CHUNK_DIGITS):
+        out = out * _CHUNK + int(digits[i : i + _CHUNK_DIGITS])
+    return sign * out
+
+
 def parse_rat(s: str) -> Fraction:
-    """Parse the wire format "p/q" or "p" (sign on the numerator)."""
+    """Parse the wire format "p/q" or "p" (sign on the numerator), decimal
+    integers of any length."""
     s = s.strip()
     if "/" in s:
         p, q = s.split("/")
-        return Fraction(int(p), int(q))
-    return Fraction(int(s))
+        return Fraction(_str_int(p), _str_int(q))
+    return Fraction(_str_int(s))
 
 
 def format_rat(q) -> str:
     q = Fraction(q)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_str(q.numerator)
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 class SymRat:

@@ -26,6 +26,7 @@ from .eo import (
 from .moduli import n0_polynomial, point_invariant, psi_intersection
 from .quasifit import (
     FitSpec,
+    InconsistentSamplesError,
     VerificationReport,
     asymptotics_report,
     fit_stationary,
@@ -195,41 +196,49 @@ def cmd_verify(args, config, engine):
     # These checks exist only on the projective line.
     if sub in ("dilaton", "eo-compare", "eo-string", "pole", "example-f") and args.N != 1:
         raise UsageError(f"verify {sub} is specific to N = 1")
+    try:
+        ok = _verify(sub, args, config, engine)
+    except InconsistentSamplesError as exc:
+        # Engine values that fit no quasi-polynomial fail the check.
+        ok = _emit_report(VerificationReport(f"verify {sub}", "fail", {"error": str(exc)}))
+    return 0 if ok else 1
+
+
+def _verify(sub, args, config, engine) -> bool:
     if sub == "top":
         q = fit_stationary(FitSpec(N=args.N, g=args.g, n=args.n), engine)
-        ok = _emit_report(verify_top_coefficients(q, args.g, args.n, args.N))
-    elif sub == "negative":
+        return _emit_report(verify_top_coefficients(q, args.g, args.n, args.N))
+    if sub == "negative":
         ks = [int(x) for x in args.k.split(",")] if args.k else []
         ms = [int(x) for x in args.m.split(",")] if args.m else []
-        ok = _emit_report(
+        return _emit_report(
             verify_negative_evaluation(args.N, args.g, ks, ms, engine)
         )
-    elif sub == "string-divisor":
-        ok = _emit_report(
+    if sub == "string-divisor":
+        return _emit_report(
             verify_p_string_divisor(args.N, args.g, args.n, engine, max_m=args.max_m)
         )
-    elif sub == "dilaton":
-        ok = _emit_report(verify_dilaton_derivative(args.g, args.n, engine))
-    elif sub == "asymptotics":
+    if sub == "dilaton":
+        return _emit_report(verify_dilaton_derivative(args.g, args.n, engine))
+    if sub == "asymptotics":
         ray = [int(x) for x in args.ray.split(",")]
-        ok = _emit_report(
+        return _emit_report(
             asymptotics_report(
                 args.N, args.g, args.n, ray, args.max_m, engine, config.atoms
             )
         )
-    elif sub == "eo-compare":
-        ok = _emit_report(
+    if sub == "eo-compare":
+        return _emit_report(
             compare_eo_gw(args.g, args.n, args.depth, engine, atom_values=config.atoms)
         )
-    elif sub == "eo-string":
-        ok = _emit_report(eo_string_dilaton_check(args.g, args.n, args.string_power))
-    elif sub == "pole":
-        ok = _emit_report(pole_asymptotics_check(args.g, args.n))
-    else:  # example-f; argparse admits no other choice
-        if args.max_m < 3:
-            raise UsageError("example-f needs --max-m >= 3 to check any recursion step")
-        ok = _verify_example_f(engine, args.max_m)
-    return 0 if ok else 1
+    if sub == "eo-string":
+        return _emit_report(eo_string_dilaton_check(args.g, args.n, args.string_power))
+    if sub == "pole":
+        return _emit_report(pole_asymptotics_check(args.g, args.n))
+    # example-f; argparse admits no other choice
+    if args.max_m < 3:
+        raise UsageError("example-f needs --max-m >= 3 to check any recursion step")
+    return _verify_example_f(engine, args.max_m)
 
 
 def _verify_example_f(engine, max_m):
@@ -364,6 +373,10 @@ def main(argv=None) -> int:
         if args.cache and len(engine.cache) != loaded:
             save_cache(engine.cache, args.cache)
         return rc
+    except InconsistentSamplesError as exc:
+        # A fit whose engine values are not quasi-polynomial: a failed check.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except MissingAtomError as exc:
         print(f"error: no value assigned to atom {exc.args[0]}", file=sys.stderr)
         return 2

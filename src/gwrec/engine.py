@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import factorial
 from typing import NamedTuple
 
 from .algebra import SymRat, bipartitions, c_factor, compositions, dot
@@ -137,6 +138,31 @@ def _reduction_valid(d, g, n) -> bool:
     return d > 0 or 2 * g - 2 + (n - 1) > 0
 
 
+def _g0_one(N, A, d) -> Fraction:
+    """The genus-0 one-point bracket <tau_m(w^a)>_{0,d}, A = (m, a), from
+    Givental's J-function of P^N:
+
+        [x^(N-a)] prod_{r=1}^{d} (1 + x/r)^(-(N+1)) / d!^(N+1),
+
+    the coefficient read off exp(-(N+1) sum_s (-1)^(s-1) H_d^(s) x^s / s)
+    with the harmonic sums H_d^(s) = sum_{r<=d} r^(-s), s <= N - a.  The
+    level m is fixed by d and a through the dimension constraint."""
+    _, a = A
+    if d <= 0:
+        return Fraction(0)
+    n = N - a
+    # c[s] is s times the x^s coefficient of the exponent; b[k] is the x^k
+    # coefficient of its exponential, from k b[k] = sum_s c[s] b[k - s].
+    c = [None] + [
+        (N + 1) * (-1) ** s * sum(Fraction(1, r**s) for r in range(1, d + 1))
+        for s in range(1, n + 1)
+    ]
+    b = [Fraction(1)]
+    for k in range(1, n + 1):
+        b.append(sum(c[s] * b[k - s] for s in range(1, k + 1)) / k)
+    return b[n] / factorial(d) ** (N + 1)
+
+
 class Engine:
     """Memoized evaluator on an explicit stack.  `_compute(key)` returns the
     key's route as a generator that yields the keys it needs; `_invariant`
@@ -198,7 +224,9 @@ class Engine:
         N, g, ins = key
         n = len(ins)
         d = degree_of(N, g, ins)
-        if d is None:
+        # No degree fits, or a constant map from an unstable curve: either
+        # way the key names no bracket.
+        if d is None or (d == 0 and 2 * g - 2 + n <= 0):
             return Fraction(0)
 
         if (0, 0) in ins and _reduction_valid(d, g, n):
@@ -261,12 +289,13 @@ class Engine:
 
     # ------------------------------------------------------------------
     # genus zero, one and two insertions (closed forms and reductions).
-    # These helpers invert the divisor rule through one another; they are
-    # generators joined by `yield from`, returning a Fraction.  Every key
-    # they build keeps the dimension excess of the caller's, so the degree
-    # d is passed down.  `_compute` sends tau_0(1), tau_0(w) and tau_1(1)
-    # at d >= 1 to the string, divisor and dilaton routes, and the helpers
-    # never add tau_0(1) or tau_1(1), so neither reaches `_g0_two`.
+    # The one-point function is closed-form (`_g0_one`); the two-point one
+    # inverts the divisor rule through `_trr0` and itself.  These helpers
+    # are generators joined by `yield from`, returning a Fraction.  Every
+    # key they build keeps the dimension excess of the caller's, so the
+    # degree d is passed down.  `_compute` sends tau_0(1), tau_0(w) and
+    # tau_1(1) at d >= 1 to the string, divisor and dilaton routes, and the
+    # helpers never add tau_0(1) or tau_1(1), so neither reaches `_g0_two`.
 
     def _g0_small(self, N, ins, d):
         ins = tuple(sorted(ins))
@@ -276,23 +305,11 @@ class Engine:
         if len(ins) == 0:
             val = Fraction(1) if (N == 1 and d == 1) else Fraction(0)
         elif len(ins) == 1:
-            val = yield from self._g0_one(N, ins[0], d)
+            val = _g0_one(N, ins[0], d)
         else:
             val = yield from self._g0_two(N, ins, d)
         self._g0_memo[memo_key] = val
         return val
-
-    def _g0_one(self, N, A, d):
-        m, k = A
-        if d <= 0:
-            return Fraction(0)
-        if k == N:
-            return Fraction(1, c_factor(N + 1, m) * d * d)
-        # A primary below the point class has no positive degree alone, so
-        # m >= 1.  Raise by a divisor insertion, then peel the correction term.
-        two = yield from self._g0_small(N, ((0, 1), A), d)
-        corr = yield from self._g0_small(N, ((m - 1, k + 1),), d)
-        return (two - corr) / d
 
     def _g0_two(self, N, ins, d):
         if d <= 0:

@@ -33,9 +33,10 @@ class UnderdeterminedSystemError(ValueError):
     """Fewer samples than interpolation coefficients."""
 
 
-class InconsistentSamplesError(ValueError):
+class InconsistentSamplesError(ArithmeticError):
     """A surplus sample disagrees with the unique interpolant: either a bug
-    or a failure of quasi-polynomiality."""
+    or a failure of quasi-polynomiality.  Not a ValueError: the input was
+    valid and the values failed the check."""
 
 
 def _fmt_witness(v):

@@ -126,6 +126,27 @@ class TestRatWire:
         assert parse_rat("-3/2") == Fraction(-3, 2)
         assert parse_rat("7") == 7
 
+    @pytest.mark.parametrize("digits", [4000, 4001, 4300, 4301, 8000, 12345])
+    def test_long_integers_at_the_default_digit_limit(self, digits):
+        # 10^(digits-1) + 7 and its decimal string, built without str(int)
+        n = 10 ** (digits - 1) + 7
+        text = "1" + "0" * (digits - 3) + "07"
+        assert format_rat(n) == text
+        assert format_rat(Fraction(-n, 3)) == f"-{text}/3"
+        assert format_rat(Fraction(2, n)) == f"2/{text}"
+        assert parse_rat(f"-{text}/3") == Fraction(-n, 3)
+        assert parse_rat(f"+{text}") == n
+
+    def test_chunk_boundaries_round_trip(self):
+        for n in (10**8000, 10**8000 - 1, -(3**20000), 7 * 10**4000 + 123):
+            assert parse_rat(format_rat(n)) == n
+            assert parse_rat(format_rat(Fraction(1, n))) == Fraction(1, n)
+
+    @pytest.mark.parametrize("text", ["1" * 5000 + "-2", "--" + "1" * 5000, "1" * 5000 + " 2"])
+    def test_malformed_long_integer_is_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_rat(text)
+
 
 class TestQuasiPoly:
     def _two_point_like(self):

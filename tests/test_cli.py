@@ -67,6 +67,15 @@ class TestInvariantCommand:
         assert exc.value.code == 0
         assert json.loads(capsys.readouterr().out)["value"] == "1/24"
 
+    def test_unstable_domain_is_zero(self, capsys):
+        # genus 1, no marked point, degree 0: no bracket, and no atom
+        rc, recs, _ = run(capsys, "invariant", "--N", "1", "--g", "1")
+        assert rc == 0
+        assert recs[0] == {
+            "key": "gw[N=1;g=1;ins=]", "degree": 0,
+            "value": {"scalar": "0", "atoms": {}},
+        }
+
     def test_atom_record(self, capsys):
         rc, recs, _ = run(capsys, "invariant", "--N", "1", "--g", "1", "--ins", "0:1")
         assert rc == 0
@@ -124,6 +133,22 @@ class TestVerifyCommands:
             "verify", "eo-compare", "--g", "1", "--n", "1", "--depth", "8",
         )
         assert rc == 0
+
+    def test_samples_off_a_quasi_polynomial_fail_the_check(self, capsys, monkeypatch):
+        class OneBracketOff(Engine):
+            def invariant(self, N, g, insertions):
+                val = super().invariant(N, g, insertions)
+                off = InvariantKey.make(N, g, insertions).canonical()
+                return val + 1 if off == "gw[N=1;g=0;ins=(0,1),(1,1),(3,1)]" else val
+
+        monkeypatch.setattr("gwrec.cli.Engine", OneBracketOff)
+        # The string side reads the three-slot family at level -1, which
+        # extrapolates through the wrong bracket.
+        rc, recs, err = run(capsys, "verify", "string-divisor", "--n", "2")
+        assert rc == 1
+        assert [(r["claim"], r["status"]) for r in recs] == [("verify string-divisor", "fail")]
+        assert "is not polynomial" in recs[0]["witness"]["error"]
+        assert err == ""
 
     def test_example_f_reports_the_broken_recursion(self, capsys):
         # the two-step recursion printed in the source material does not
@@ -472,6 +497,23 @@ class TestConfig:
 
 
 class TestGoldenOutputs:
+    def test_fit_on_an_unstable_domain_is_zero(self, capsys):
+        rc, recs, _ = run(capsys, "fit", "--N", "1", "--g", "1", "--n", "0")
+        assert rc == 0
+        assert recs == [{"N": 1, "nvars": 0, "branches": []}]
+
+    def test_fit_of_samples_off_a_quasi_polynomial_fails(self, capsys, monkeypatch):
+        class ConstantEngine(Engine):
+            # c-normalised values become c_2(m), which grows factorially
+            def invariant(self, N, g, insertions):
+                return SymRat(1)
+
+        monkeypatch.setattr("gwrec.cli.Engine", ConstantEngine)
+        rc, recs, err = run(capsys, "fit", "--N", "1", "--g", "1", "--n", "1")
+        assert rc == 1
+        assert recs == []
+        assert err.startswith("error:") and "beyond degree" in err
+
     def test_fit_genus1_table_row(self, capsys):
         rc, recs, _ = run(capsys, "fit", "--N", "1", "--g", "1", "--n", "1",
                           "--min-m", "0")

@@ -5,10 +5,10 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from gwrec.algebra import SymRat, c_factor
+from gwrec.algebra import SymRat, c_factor, dot
 from gwrec.cli import save_cache
 from gwrec.engine import (
     DEFAULT_ENGINE,
@@ -16,6 +16,7 @@ from gwrec.engine import (
     InvariantKey,
     _dim_excess,
     _forced_class,
+    _g0_one,
     _split_keys,
     degree_of,
 )
@@ -54,9 +55,11 @@ def test_engine_golden_digest(tmp_path):
 
 
 # sha256 of the save_cache bytes of a fresh engine after evaluating
-# _golden_keys_genus2(), computed while every splitting class was still
-# found by trying all N + 1 of them.
-GOLDEN_ENGINE_GENUS2 = "c3ad644fb0c387044b00917091245d247f6007aa4ce2b201ef3b128e01b8d9ca"
+# _golden_keys_genus2(), computed once the genus-0 one-point function was
+# closed-form.  The 1 333 records are those of the earlier divisor chain,
+# byte for byte, less the two three-point keys only that chain evaluated
+# (test_values_of_keys_the_divisor_chain_cached).
+GOLDEN_ENGINE_GENUS2 = "2e88fd12fd25aaf4b2b39e623ac4453e42477f8b4a790db99f0b583daeae360d"
 
 
 def _golden_keys_genus2():
@@ -75,6 +78,12 @@ def _golden_keys_genus2():
 
 def test_engine_golden_digest_genus2(tmp_path):
     assert _cache_digest(_golden_keys_genus2(), tmp_path) == GOLDEN_ENGINE_GENUS2
+
+
+def test_values_of_keys_the_divisor_chain_cached():
+    # The one-point divisor chain left these in the genus-2 digest's memo.
+    assert Engine().invariant(1, 0, [(0, 1), (0, 1), (0, 1)]) == 1
+    assert Engine().invariant(2, 0, [(0, 0), (0, 1), (0, 1)]) == 1
 
 
 class TestDegreeOf:
@@ -163,6 +172,26 @@ class TestClosedForms:
             for i in range(2, d + 1):
                 fact *= i
             assert E.invariant(1, 0, [(2 * d - 1, 0)]) == -2 * H / fact**2
+
+
+class TestOnePointClosedForm:
+    @given(st.integers(1, 3), st.integers(0, 3), st.integers(1, 16))
+    def test_matches_trr0_and_divisor(self, N, a, d):
+        # <tau_0(w)^2 tau_m(w^a)>_d by the topological recursion is
+        # d^2 <tau_m(w^a)> + 2d <tau_{m-1}(w^(a+1))> + <tau_{m-2}(w^(a+2))>
+        # by the divisor rule, twice.
+        a = min(a, N)
+        m = (N + 1) * d + N - 2 - a
+        assume(1 <= m <= 30)
+        eng = Engine()
+        pairs = eng.trr0_expand(N, 0, [(0, 1), (0, 1), (m, a)], 2)
+        three = dot((eng._invariant(k1), eng._invariant(k2)) for k1, k2 in pairs)
+        y = _g0_one(N, (m - 1, a + 1), d) if a < N else 0
+        z = _g0_one(N, (m - 2, a + 2), d) if a + 2 <= N and m >= 2 else 0
+        assert _g0_one(N, (m, a), d) == (three - 2 * d * y - z) / d**2
+
+    def test_unstable_degree_zero(self):
+        assert _g0_one(3, (0, 1), 0) == 0
 
 
 class TestDispatch:
@@ -583,8 +612,7 @@ def _frame_depth():
 
 class TestExplicitStack:
     def test_long_chain_needs_no_interpreter_depth(self):
-        # The m = 301 chain is about 150 levels of keys deep; each level
-        # recursing through the interpreter would need several frames.
+        # The m = 301 witness under a limit a few frames above the caller's.
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(_frame_depth() + 100)
         try:
@@ -593,6 +621,23 @@ class TestExplicitStack:
             sys.setrecursionlimit(limit)
         d = 151
         assert got == -2 * d * sum(Fraction(1, j) for j in range(1, d))
+
+    def test_deep_route_needs_no_interpreter_depth(self):
+        class Chain(Engine):
+            # Each key waits on the one a level below: 5000 keys deep.
+            def _compute(self, key):
+                N, g, ((m, k),) = key
+                if m == 0:
+                    return Fraction(1)
+                return 1 + (yield InvariantKey(N, g, ((m - 1, k),)))
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_frame_depth() + 100)
+        try:
+            got = Chain().invariant(1, 0, [(5000, 1)])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == 5001
 
     def test_recursion_limit_untouched(self):
         limit = sys.getrecursionlimit()

@@ -199,17 +199,16 @@ class TestStringDilaton:
         assert rep.status == "pass", rep.to_obj()
 
     def test_constant_shift_of_antiderivative_is_irrelevant(self):
-        # residues against a constant vanish because the invariants carry
-        # no first-order poles
-        curve = SpectralCurve.for_target(1, 2)
-        hi = curve.omega(1, 2)
-        for alpha in (1, -1):
-            total = Fraction(0)
-            for assign, c in hi.coeffs.items():
-                a, k = assign[-1]
-                if a == alpha and k == 1:
-                    total += c
-            assert total == 0
+        # the dilaton part reads phi at order k - 1 >= 1 only, since the
+        # invariants carry no first-order poles, so phi + c leaves it whole
+        for g, n in [(0, 3), (1, 1)]:
+            curve = SpectralCurve.for_target(g, n + 1)
+            T = 12 * g + 4 * (n + 1) + 10  # the chart order the check reads
+            for alpha in (1, -1):
+                ch = curve.chart(alpha, T)
+                ch.phi = ch.phi + LaurentSeries("t", ch.center, 0, [Fraction(7, 3)], T)
+            rep = eo_string_dilaton_check(g, n, 0, curve)
+            assert rep.status == "pass", rep.to_obj()
 
 
 class TestPoleAsymptotics:
