@@ -71,7 +71,8 @@ def load_cache(path, records=None) -> dict:
     fresh dict by default) and return it.  Each key is parsed once into an
     InvariantKey and checked like engine input, so two spellings of one key
     are one record; a genus-0 value is held as a Fraction and may carry no
-    atom.  A value that differs from one already held is a conflict."""
+    atom, and a key no degree fits must hold 0.  A value that differs from
+    one already held is a conflict."""
     records = {} if records is None else records
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -84,6 +85,8 @@ def load_cache(path, records=None) -> dict:
                 val = SymRat.from_obj(obj["value"])
                 if key.g == 0:
                     val = val.rational()
+                if val and key.degree() is None:
+                    raise ValueError("nonzero value where no degree fits")
             except (ValueError, LookupError, TypeError, AttributeError,
                     ArithmeticError) as exc:
                 raise UsageError(f"{path}:{lineno}: malformed cache record") from exc

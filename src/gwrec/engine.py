@@ -78,7 +78,7 @@ class InvariantKey(NamedTuple):
                 chunk = chunk.strip("()")
                 m, k = chunk.split(",")
                 ins.append((int(m), int(k)))
-        return cls.make(int(parts["N"]), int(parts["g"]), ins)
+        return cls(int(parts["N"]), int(parts["g"]), tuple(sorted(ins)))
 
 
 def _dim_excess(N: int, g: int, insertions) -> int:
@@ -172,7 +172,6 @@ class Engine:
 
     def __init__(self):
         self.cache: dict = {}
-        self._g0_memo: dict = {}
         self._bb_memo: dict = {}
         self._wdvv_memo: dict = {}
 
@@ -239,8 +238,12 @@ class Engine:
 
         top = max((m for m, _ in ins), default=0)
         if g == 0:
-            if n <= 2:
-                return (yield from self._g0_small(N, ins, d))
+            if n == 0:
+                return Fraction(int(N == 1 and d == 1))
+            if n == 1:
+                return _g0_one(N, ins[0], d)
+            if n == 2:
+                return (yield from self._g0_two(N, ins, d))
             if top >= 1:
                 return (yield from self._trr0(N, ins))
             return self.wdvv_primary(N, [k for _, k in ins])
@@ -288,32 +291,14 @@ class Engine:
         return dot(terms)
 
     # ------------------------------------------------------------------
-    # genus zero, one and two insertions (closed forms and reductions).
-    # The one-point function is closed-form (`_g0_one`); the two-point one
-    # inverts the divisor rule through `_trr0` and itself.  These helpers
-    # are generators joined by `yield from`, returning a Fraction.  Every
-    # key they build keeps the dimension excess of the caller's, so the
-    # degree d is passed down.  `_compute` sends tau_0(1), tau_0(w) and
-    # tau_1(1) at d >= 1 to the string, divisor and dilaton routes, and the
-    # helpers never add tau_0(1) or tau_1(1), so neither reaches `_g0_two`.
-
-    def _g0_small(self, N, ins, d):
-        ins = tuple(sorted(ins))
-        memo_key = (N, ins)
-        if memo_key in self._g0_memo:
-            return self._g0_memo[memo_key]
-        if len(ins) == 0:
-            val = Fraction(1) if (N == 1 and d == 1) else Fraction(0)
-        elif len(ins) == 1:
-            val = _g0_one(N, ins[0], d)
-        else:
-            val = yield from self._g0_two(N, ins, d)
-        self._g0_memo[memo_key] = val
-        return val
+    # genus zero, two insertions.  `_compute` answers n = 0 and the
+    # closed-form one-point function (`_g0_one`) itself; this route holds
+    # the two stationary closed forms and otherwise raises the key by a
+    # divisor insertion through `_trr0`, then peels the divisor rule's
+    # correction terms, two-point keys of the same degree d that it yields
+    # like any route, so `Engine.cache` is their memo.
 
     def _g0_two(self, N, ins, d):
-        if d <= 0:
-            return Fraction(0)
         (m1, k1), (m2, k2) = ins
         if k1 == N and k2 == N:
             return Fraction(
@@ -323,13 +308,12 @@ class Engine:
         # a primary and a descendant when m1 == 0.
         if m1 == 0 and k2 == N:
             return Fraction(1, c_factor(N + 1, m2) * d)
-        # Raise by a divisor insertion and peel one correction term for each
-        # descendant below the point class.
         three = yield from self._trr0(N, tuple(sorted(((0, 1),) + ins)))
         corr = Fraction(0)
         for i, (m, k) in enumerate(ins):
             if m >= 1 and k < N:
-                corr += yield from self._g0_small(N, _replace(ins, i, (m - 1, k + 1)), d)
+                new = _replace(ins, i, (m - 1, k + 1))
+                corr += yield InvariantKey(N, 0, tuple(sorted(new)))
         return (three - corr) / d
 
     # ------------------------------------------------------------------
@@ -438,9 +422,7 @@ class Engine:
                         else:
                             factor_ins = [(0, c), (comp[i] + m, k)] + groups[i]
                             nxt = None
-                        v = self._invariant(
-                            InvariantKey(N, 0, tuple(sorted(factor_ins)))
-                        )
+                        v = self._chain_factor(N, factor_ins)
                         if v == 0:
                             ok = False
                             break
@@ -452,21 +434,24 @@ class Engine:
 
     def _bb_rec(self, N, first_class, m, k, extras, beta) -> Fraction:
         if beta == 0:
-            return self._invariant(
-                InvariantKey(N, 0, tuple(sorted(((0, first_class), (m, k)) + extras)))
-            )
+            return self._chain_factor(N, [(0, first_class), (m, k), *extras])
         total = self.beta_bracket(N, first_class, (m + 1, k), extras, beta - 1)
         for left, right in bipartitions(extras):
-            for i in range(N + 1):
-                f = self._invariant(
-                    InvariantKey(N, 0, tuple(sorted([(0, N - i), (m, k)] + left)))
-                )
-                if f == 0:
-                    continue
+            head = [(m, k)] + left
+            e = _forced_class(N, 0, head + [(0, 0)])
+            f = self._chain_factor(N, head + [(0, e)])
+            if f != 0:
                 total -= f * self.beta_bracket(
-                    N, first_class, (0, i), tuple(right), beta - 1
+                    N, first_class, (0, N - e), tuple(right), beta - 1
                 )
         return total
+
+    def _chain_factor(self, N, ins) -> Fraction:
+        """The genus-0 chain factor with insertions `ins`: zero, neither
+        evaluated nor memoized, when no non-negative integer degree fits."""
+        if degree_of(N, 0, ins) is None:
+            return Fraction(0)
+        return self._invariant(InvariantKey(N, 0, tuple(sorted(ins))))
 
     def trrg_expand(self, N, g, insertions, pivot_index):
         """The (bb, gkey) terms of the genus-g recursion: a nonzero chain
@@ -522,7 +507,8 @@ class Engine:
         if d == 0:
             return Fraction(1) if n == 3 else Fraction(0)
         if n <= 1:
-            return Fraction(1) if (N == 1 and exps == (1,) and d == 1) else Fraction(0)
+            # <>_{0,1} and <pt>_{0,1} of the line are the only ones admissible.
+            return Fraction(int(N == 1 and d == 1))
         if n == 2:
             return Fraction(1) if (exps == (N, N) and d == 1) else Fraction(0)
         if exps[0] == 0:

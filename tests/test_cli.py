@@ -361,6 +361,19 @@ class TestCacheIO:
         with pytest.raises(UsageError, match=":1: malformed"):
             load_cache(path)
 
+    def test_zero_record_where_no_degree_fits_loads(self, tmp_path, capsys):
+        # Older cache files hold such records from the chain brackets.
+        path = tmp_path / "cache.jsonl"
+        key = "gw[N=1;g=1;ins=(0,0)]"
+        value = {"scalar": "0", "atoms": {}}
+        path.write_text(json.dumps({"key": key, "value": value}) + "\n")
+        rc, recs, _ = run(
+            capsys, "--cache", str(path), "invariant", "--N", "1", "--g", "1",
+            "--ins", "0:0",
+        )
+        assert rc == 0
+        assert recs == [{"key": key, "degree": None, "value": value}]
+
     def test_engine_memo_round_trip(self, tmp_path):
         eng = Engine()
         eng.invariant(1, 0, [(2, 1)])
@@ -397,13 +410,15 @@ class TestCacheIO:
 
 
 class TestCacheRecordsCheckedLikeInput:
-    """A cache record whose key the engine would reject, or a genus-0 record
-    that carries an atom, is malformed wherever a cache file is read."""
+    """A cache record whose key the engine would reject, a genus-0 record
+    that carries an atom, or a nonzero record for a key no degree fits, is
+    malformed wherever a cache file is read."""
 
     @pytest.fixture(params=[
         ("gw[N=0;g=-1;ins=(-3,7)]", {"scalar": "5"}),
         ("gw[N=1;g=0;ins=(0,1),(2,1)]", {"scalar": "0", "atoms": {"x": "1"}}),
-    ], ids=["key-out-of-range", "genus-0-atom"])
+        ("gw[N=1;g=1;ins=(0,0)]", {"scalar": "5", "atoms": {}}),
+    ], ids=["key-out-of-range", "genus-0-atom", "nonzero-where-no-degree-fits"])
     def bad(self, request, tmp_path):
         path = tmp_path / "bad.jsonl"
         key, value = request.param

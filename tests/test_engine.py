@@ -2,7 +2,7 @@ import hashlib
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import assume, given
@@ -55,18 +55,18 @@ def test_engine_golden_digest(tmp_path):
 
 
 # sha256 of the save_cache bytes of a fresh engine after evaluating
-# _golden_keys_genus2(), computed once the genus-0 one-point function was
-# closed-form.  The 1 333 records are those of the earlier divisor chain,
-# byte for byte, less the two three-point keys only that chain evaluated
-# (test_values_of_keys_the_divisor_chain_cached).
-GOLDEN_ENGINE_GENUS2 = "2e88fd12fd25aaf4b2b39e623ac4453e42477f8b4a790db99f0b583daeae360d"
+# _golden_keys_genus2(), computed once the chain brackets stopped evaluating
+# factor keys no degree fits.  The 717 records are those of the closed-form
+# one-point engine, byte for byte, less its 616 genus-0 records that were
+# zero by dimension alone (test_memo_holds_no_key_without_a_degree).
+GOLDEN_ENGINE_GENUS2 = "25c6b136cd1a217e5dc90942db466361f5e613279b9bc72c24cdc284f3da8cc1"
 
 
 def _golden_keys_genus2():
     """N in {1, 2}, g = 2: one or two stationary insertions at levels 5..9,
     alone or with tau_0(w) or tau_0(pt), where the degree is integral.  The
-    memo then holds genus-2 recursion terms, chain brackets and the zero
-    chain factors `_bb_rec` evaluates."""
+    memo then holds genus-2 recursion terms and the chain brackets'
+    genus-0 factors."""
     for N in (1, 2):
         for s in (1, 2):
             for ms in combinations_with_replacement(range(5, 10), s):
@@ -78,6 +78,13 @@ def _golden_keys_genus2():
 
 def test_engine_golden_digest_genus2(tmp_path):
     assert _cache_digest(_golden_keys_genus2(), tmp_path) == GOLDEN_ENGINE_GENUS2
+
+
+def test_memo_holds_no_key_without_a_degree():
+    eng = Engine()
+    for N, g, ins in _golden_keys_genus2():
+        eng.invariant(N, g, ins)
+    assert [key for key in eng.cache if key.degree() is None] == []
 
 
 def test_values_of_keys_the_divisor_chain_cached():
@@ -192,6 +199,72 @@ class TestOnePointClosedForm:
 
     def test_unstable_degree_zero(self):
         assert _g0_one(3, (0, 1), 0) == 0
+
+
+def _truncated_mul(p, q, n):
+    """The product of two coefficient lists, truncated at x^n."""
+    out = [Fraction(0)] * (n + 1)
+    for i, a in enumerate(p[: n + 1]):
+        for j, b in enumerate(q[: n + 1 - i]):
+            out[i + j] += a * b
+    return out
+
+
+def _j_function(N, e):
+    """J_e(x) = prod_{r<=e} (1 + x/r)^(-(N+1)) / e!^(N+1) mod x^(N+1), by
+    multiplying truncated geometric series."""
+    J, fact = [Fraction(1)], 1
+    for r in range(1, e + 1):
+        fact *= r
+        geometric = [Fraction(-1, r) ** j for j in range(N + 1)]
+        for _ in range(N + 1):
+            J = _truncated_mul(J, geometric, N)
+    return [c / fact ** (N + 1) for c in J]
+
+
+def _s_entry(N, e, i, a, c, J):
+    """S_e(i; a, c): the degree-e, z^(-i) coefficient of the S-operator
+    between w^a and w^c, [x^(N-a)] (x + e)^c J_e(x) for e, i >= 1."""
+    if e == 0:
+        return Fraction(int(i == 0 and a + c == N))
+    if i == 0:
+        return Fraction(0)
+    poly = [Fraction(1)]
+    for _ in range(c):
+        poly = _truncated_mul(poly, [Fraction(e), Fraction(1)], N)
+    return _truncated_mul(poly, J[e], N)[N - a]
+
+
+def _two_point_oracle(N, k, a, l, b, d, J):
+    """<tau_k(w^a) tau_l(w^b)>_{0,d} from V(z, w) = S(z)^T eta^-1 S(w) /
+    (z + w), expanding 1/(z + w) in w/z."""
+    total = Fraction(0)
+    for s in range(k + 1):
+        for d1 in range(d + 1):
+            c = (N + 1) * d1 + N - a - (k - s)
+            if 0 <= c <= N:
+                total += (-1) ** s * (
+                    _s_entry(N, d1, k - s, a, c, J)
+                    * _s_entry(N, d - d1, l + 1 + s, b, N - c, J)
+                )
+    return total
+
+
+class TestTwoPointOracle:
+    def test_s_operator_matches_engine(self):
+        # Every ordered genus-0 two-point key of positive degree with
+        # N <= 3 and levels < 14; the oracle is not symmetric term by term.
+        eng, nonzero = Engine(), 0
+        for N in (1, 2, 3):
+            J = [_j_function(N, e) for e in range(15)]  # d <= 14 here
+            for (k, a), (l, b) in product(product(range(14), range(N + 1)), repeat=2):
+                d = degree_of(N, 0, [(k, a), (l, b)])
+                if not d:
+                    continue
+                want = _two_point_oracle(N, k, a, l, b, d, J)
+                assert eng.invariant(N, 0, [(k, a), (l, b)]) == want, (N, k, a, l, b)
+                nonzero += want != 0
+        assert nonzero == 1749
 
 
 class TestDispatch:
@@ -563,7 +636,10 @@ class TestWdvv:
         assert E.wdvv_primary(2, [2, 2, 1]) == 1
 
     def test_agrees_with_dispatch(self):
-        for N, exps in [(2, (2, 2, 2, 2, 2)), (1, (1, 1, 1)), (3, (3, 2, 2))]:
+        for N, exps in [
+            (2, (2, 2, 2, 2, 2)), (1, (1, 1, 1)), (3, (3, 2, 2)),
+            (1, ()), (2, ()), (3, ()),
+        ]:
             assert E.invariant(N, 0, [(0, a) for a in exps]) == E.wdvv_primary(
                 N, exps
             )
