@@ -17,7 +17,6 @@ from fractions import Fraction
 from .algebra import MissingAtomError, SymRat, format_rat, parse_rat
 from .engine import Engine, InvariantKey
 from .eo import (
-    SpectralCurve,
     compare_eo_gw,
     eo_invariant,
     eo_string_dilaton_check,
@@ -189,8 +188,7 @@ def cmd_fit(args, config, engine):
 
 
 def cmd_eo(args, config, engine):
-    curve = None if args.y_trunc is None else SpectralCurve(args.y_trunc)
-    emit(eo_invariant(args.g, args.n, curve).to_obj())
+    emit(eo_invariant(args.g, args.n).to_obj())
     return 0
 
 
@@ -312,7 +310,6 @@ def build_parser():
     c = sub.add_parser("eo", help="spectral-curve invariant in the pole basis")
     c.add_argument("--g", type=int, required=True)
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--y-trunc", type=int, dest="y_trunc")
     c.set_defaults(func=cmd_eo)
 
     c = sub.add_parser("verify", help="run one verification")

@@ -185,11 +185,14 @@ class Engine:
     def _invariant(self, key: InvariantKey):
         """The value of `key`: each route on the stack runs until it yields
         a key missing from the cache, which is pushed in turn; a finished
-        route's value is cached and sent to the route below it."""
+        route's value is cached and sent to the route below it.  A key no
+        degree fits is zero and is not memoized."""
         cache = self.cache
         val = cache.get(key)
         if val is not None:
             return val
+        if key.degree() is None:
+            return Fraction(0)
         stack = [(key, self._compute(key))]
         pending = {key}
         val = None
@@ -447,10 +450,7 @@ class Engine:
         return total
 
     def _chain_factor(self, N, ins) -> Fraction:
-        """The genus-0 chain factor with insertions `ins`: zero, neither
-        evaluated nor memoized, when no non-negative integer degree fits."""
-        if degree_of(N, 0, ins) is None:
-            return Fraction(0)
+        """The genus-0 chain factor with insertions `ins`."""
         return self._invariant(InvariantKey(N, 0, tuple(sorted(ins))))
 
     def trrg_expand(self, N, g, insertions, pivot_index):

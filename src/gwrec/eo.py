@@ -1,10 +1,11 @@
-"""Topological recursion on the spectral curve x = z + 1/z, y = ln z, with
-ln z realised as a polynomial truncation accurate at both branch points.
+"""Topological recursion on the spectral curve x = z + 1/z, y = ln z.
 
-Multidifferentials are stored exactly as tensors over the pole basis
-dz/(z - a)^k, a in {+1, -1}, k >= 2; the recursion works chart by chart in
-the local variable t = z - a with exact Laurent series, so every
-coefficient that comes out is an exact rational number.
+y enters only through its exact series in the local chart at each branch
+point z = +-1, on the branch (1/2) ln z^2 that vanishes at both, so that
+y(1/z) = -y(z).  Multidifferentials are stored exactly as tensors over the
+pole basis dz/(z - a)^k, a in {+1, -1}, k >= 2; the recursion works chart
+by chart in the local variable t = z - a with exact Laurent series, so
+every coefficient that comes out is an exact rational number.
 """
 
 from __future__ import annotations
@@ -75,28 +76,36 @@ class InfinitySeries:
         return self.coeffs.get(exps, Fraction(0))
 
 
+def _pole_bound(g, n) -> int:
+    """The highest pole order in omega^g_n."""
+    return 6 * g - 4 + 2 * n
+
+
+def _chart_order(g, n) -> int:
+    """The truncation order of the charts the recursion for omega^g_n reads."""
+    return 12 * g + 4 * n + 10
+
+
 class _Chart:
     """Exact local data of the curve at one branch point, to truncation T."""
 
-    def __init__(self, curve, alpha, T):
+    def __init__(self, alpha, T):
         self.alpha = alpha
         self.T = T
-        c = str(alpha)
-        self.center = c
+        self.center = c = str(alpha)
         # zhat(t) = 1/(alpha + t)
         self.zhat = LaurentSeries(
             "t", c, 0, [(-1) ** r * alpha ** (r + 1) for r in range(T)], T
         )
         self.s = self.zhat - alpha  # zhat - alpha, valuation 1
         self.dzhat = self.zhat.deriv()
-        z = LaurentSeries("t", c, 0, [alpha, 1], T)
-        self.z = z
+        self.z = z = LaurentSeries("t", c, 0, [alpha, 1], T)
         self.x = z + self.zhat
-        self.ym_z = _poly_eval(curve.y_coeffs, z, T)
-        self.ym_zhat = _poly_eval(curve.y_coeffs, self.zhat, T)
+        # 1 - z^2 has valuation 1 in t, so y is the antiderivative of
+        # dz/z = zhat dt that vanishes at t = 0, and y(z) - y(zhat) = 2 y(z).
+        self.ym_z = self.zhat.integ()
         self.xp = 1 - self.zhat * self.zhat
-        den = (self.ym_z - self.ym_zhat) * self.xp * 2
-        self.kfac = -den.invert()
+        self.kfac = -(self.ym_z * self.xp * 4).invert()
         self.phi = (self.ym_z * self.xp).integ()
         self._spows = {0: LaurentSeries("t", c, 0, [1], T)}
         self._other_pows = {}
@@ -137,53 +146,23 @@ class _Chart:
         return LaurentSeries.zero("t", self.center, self.T)
 
 
-def _poly_eval(coeffs, series, T):
-    """Evaluate a dense polynomial (list of coefficients) on a series."""
-    out = LaurentSeries.zero(series.var, series.center, T)
-    for c in reversed(coeffs):
-        out = out * series + c
-    return out
-
-
 class SpectralCurve:
-    """The fixed curve x = z + 1/z with y = ln z truncated after y_trunc
-    terms of its expansion in (1 - z^2); invariants stabilise once
-    y_trunc >= 6g - 6 + 2n."""
+    """The curve x = z + 1/z, y = ln z, with memos of its invariants and of
+    its local charts."""
 
-    def __init__(self, y_trunc: int):
-        if y_trunc < 1:
-            raise ValueError("y_trunc must be >= 1")
-        self.y_trunc = y_trunc
-        self.y_coeffs = self._build_y(y_trunc)
+    def __init__(self):
         self._omegas: dict = {}
         self._charts: dict = {}
 
-    @staticmethod
-    def _build_y(M):
-        # y_M(z) = sum_{k=1}^{M} (1 - z^2)^k / (-2k), dense in z.
-        out = [Fraction(0)] * (2 * M + 1)
-        powk = [Fraction(1)]  # (1 - z^2)^k, starting at k = 0
-        for k in range(1, M + 1):
-            new = [Fraction(0)] * (len(powk) + 2)
-            for i, c in enumerate(powk):
-                new[i] += c
-                new[i + 2] -= c
-            powk = new
-            w = Fraction(-1, 2 * k)
-            for i, c in enumerate(powk):
-                out[i] += w * c
-        return out
-
     @classmethod
     def for_target(cls, g, n) -> "SpectralCurve":
-        # The invariants are observed to stabilise one step after the
-        # nominal threshold 6g - 6 + 2n in some cases; keep a margin.
-        return cls(max(1, 6 * g - 6 + 2 * n + 2))
+        """A fresh curve; (g, n) is unused.  `perfbench/workloads.py` calls it."""
+        return cls()
 
     def chart(self, alpha, T) -> _Chart:
         key = (alpha, T)
         if key not in self._charts:
-            self._charts[key] = _Chart(self, alpha, T)
+            self._charts[key] = _Chart(alpha, T)
         return self._charts[key]
 
     def omega(self, g, n) -> PoleBasisDifferential:
@@ -197,7 +176,7 @@ class SpectralCurve:
     # ------------------------------------------------------------------
 
     def _recurse(self, g, n) -> PoleBasisDifferential:
-        bound = 6 * g - 4 + 2 * n
+        bound = _pole_bound(g, n)
         out = self._chart_terms(g, n, 1)
         # The chart at -1 mirrors the one at +1 under z -> -z: negating every
         # a_i multiplies a coefficient by (-1)^(k_1 + ... + k_n).
@@ -216,10 +195,9 @@ class SpectralCurve:
         """The nonzero coefficients of omega^g_n whose first pole sits at
         alpha, from the residue at that branch point."""
         spect = list(range(1, n))
-        T = 12 * g + 4 * n + 10
-        bound = 6 * g - 4 + 2 * n
+        bound = _pole_bound(g, n)
         out: dict = {}
-        ch = self.chart(alpha, T)
+        ch = self.chart(alpha, _chart_order(g, n))
         bracket: dict = {}
 
         def add(factor):
@@ -234,7 +212,7 @@ class SpectralCurve:
                 w = ch.dzhat * (zmzhat * zmzhat).invert()
                 add({(): w})
             else:
-                add(self._stored_factor(g - 1, ["z", "zhat"], spect, ch, bound))
+                add(self._stored_factor(g - 1, ["z", "zhat"], spect, ch))
         for g1 in range(g + 1):
             g2 = g - g1
             for gI, gJ in bipartitions(spect):
@@ -260,15 +238,12 @@ class SpectralCurve:
         return {a: c for a, c in out.items() if c}
 
     def _piece(self, gp, kind, gvars, ch, bound):
-        npts = len(gvars) + 1
-        if (gp, npts) == (0, 2):
+        if gp == 0 and len(gvars) == 1:
             return self._omega02_factor(kind, gvars[0], ch, bound)
-        return self._stored_factor(gp, [kind], gvars, ch, bound, npts)
+        return self._stored_factor(gp, [kind], gvars, ch)
 
-    def _stored_factor(self, gp, subs, gvars, ch, bound, npts=None):
-        if npts is None:
-            npts = len(gvars) + 2
-        pd = self.omega(gp, npts)
+    def _stored_factor(self, gp, subs, gvars, ch):
+        pd = self.omega(gp, len(subs) + len(gvars))
         out: dict = {}
         for assign, c in pd.coeffs.items():
             series = None
@@ -320,9 +295,7 @@ def _mul_factors(f1, f2, ch):
 
 
 def eo_invariant(g, n, curve: SpectralCurve | None = None) -> PoleBasisDifferential:
-    if curve is None:
-        curve = SpectralCurve.for_target(g, n)
-    return curve.omega(g, n)
+    return (curve or SpectralCurve()).omega(g, n)
 
 
 # ----------------------------------------------------------------------
@@ -570,11 +543,11 @@ def eo_string_dilaton_check(
     """Exact identity checks: the string equation with weight x^m (m = 0, 1)
     and the dilaton equation, both as equalities of rational tensors."""
     claim = f"eo-string-dilaton ({g},{n}) m={m}"
-    if curve is None:
-        curve = SpectralCurve.for_target(g, n + 1)
+    curve = curve or SpectralCurve()
     hi = curve.omega(g, n + 1)
     lo = curve.omega(g, n)
-    T = 12 * g + 4 * (n + 1) + 10
+    # The charts the recursion for hi already built.
+    T = _chart_order(g, n + 1)
 
     # String equation.  LHS: residues of y x^m against the last slot.
     lhs: dict = {}
@@ -631,7 +604,7 @@ def pole_asymptotics_check(
     read against the psi intersection numbers."""
     claim = f"pole-asymptotics ({g},{n})"
     pd = eo_invariant(g, n, curve)
-    bound = 6 * g - 4 + 2 * n
+    bound = _pole_bound(g, n)
     if pd.max_order() != bound:
         return VerificationReport(
             claim, "fail", {"max_order": pd.max_order(), "expected": bound}

@@ -481,7 +481,7 @@ def asymptotics_report(
     try:
         num = val.resolve(atom_values or {})
     except KeyError as exc:
-        return VerificationReport(claim, "inconclusive-atoms", {"atom": str(exc)})
+        return VerificationReport(claim, "inconclusive-atoms", {"atom": exc.args[0]})
     dev = abs(num / _top_form(N, g, n).eval(ms).scalar - 1)
     status = "pass" if dev <= bound else "fail"
     return VerificationReport(

@@ -232,13 +232,6 @@ class TestVerifyCommands:
         rc = main(["verify", "bogus"])
         assert rc == 2
 
-    @pytest.mark.parametrize("y_trunc", ["0", "-2"])
-    def test_eo_truncation_below_one_is_usage_error(self, capsys, y_trunc):
-        rc, recs, err = run(capsys, "eo", "--g", "1", "--n", "1", "--y-trunc", y_trunc)
-        assert rc == 2
-        assert recs == []
-        assert "y_trunc must be >= 1" in err
-
     @pytest.mark.parametrize("argv", [("fit",), ("verify", "top")])
     def test_negative_degree_bound_is_usage_error(self, capsys, argv):
         rc, recs, err = run(capsys, *argv, "--N", "1", "--g", "0", "--n", "1")
@@ -373,6 +366,16 @@ class TestCacheIO:
         )
         assert rc == 0
         assert recs == [{"key": key, "degree": None, "value": value}]
+
+    def test_key_where_no_degree_fits_is_not_cached(self, tmp_path, capsys):
+        path = tmp_path / "cache.jsonl"
+        rc, recs, _ = run(
+            capsys, "--cache", str(path), "invariant", "--N", "1", "--g", "1",
+            "--ins", "0:0",
+        )
+        assert rc == 0
+        assert recs[0]["value"] == {"scalar": "0", "atoms": {}}
+        assert path.read_bytes() == b""
 
     def test_engine_memo_round_trip(self, tmp_path):
         eng = Engine()

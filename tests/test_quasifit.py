@@ -261,6 +261,7 @@ class TestVerifiers:
     def test_asymptotics_unresolved_atoms(self):
         rep = asymptotics_report(1, 1, 1, (2,), 40)
         assert rep.status == "inconclusive-atoms"
+        assert rep.witness == {"atom": "gw[N=1;g=1;ins=(0,1)]"}
 
     def test_asymptotics_rejects_degenerate_ray(self):
         with pytest.raises(ValueError):
