@@ -6,7 +6,8 @@ with all descendant levels below threshold, and the genus-1 primary
 survivors).  The memo holds every genus-0 value as a plain Fraction (a
 higher-genus value is a SymRat, or a Fraction where no SymRat entered it);
 `Engine.invariant` returns a SymRat.  Each recursion step sums its product
-terms in one `dot`.
+terms in one `dot`.  The genus-0 and genus-1 recursions split insertions
+by one generator, `_splits`, that carries the dimension excess.
 
 The degree of a map is never stored: it is derived from the dimension
 constraint of the key and a key whose derived degree is fractional or
@@ -21,7 +22,7 @@ by memory, not by the interpreter's recursion limit.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 from typing import NamedTuple
 
@@ -70,7 +71,10 @@ class InvariantKey(NamedTuple):
     def parse(cls, text: str) -> "InvariantKey":
         if not (text.startswith("gw[") and text.endswith("]")):
             raise ValueError(f"malformed key: {text!r}")
-        parts = dict(p.split("=", 1) for p in text[3:-1].split(";"))
+        fields = [p.split("=", 1) for p in text[3:-1].split(";")]
+        parts = dict(fields)
+        if len(fields) != 3 or parts.keys() != {"N", "g", "ins"}:
+            raise ValueError(f"key needs the fields N, g and ins once each: {text!r}")
         ins = []
         body = parts["ins"]
         if body:
@@ -113,23 +117,35 @@ def _replace(ins, idx, new):
     return ins[:idx] + (new,) + ins[idx + 1 :]
 
 
-def _split_keys(N, left, g, right):
-    """The two factor keys of one recursion splitting: genus 0 with
-    left + tau_0(w^j) and genus g with right + tau_0(w^(N-j)), where j is
-    the class the left factor forces; None when either factor's degree is
-    negative or the right one's is fractional.  Keys are built only then."""
-    left = left + [(0, 0)]
-    j = _forced_class(N, 0, left)
-    # N + 1 times each factor's degree, the left one a multiple by choice of j.
-    a = _dim_excess(N, 0, left) + j
-    b = _dim_excess(N, g, right) + N - 1 - j
-    if a < 0 or b < 0 or b % (N + 1):
-        return None
-    left[-1] = (0, j)
-    return (
-        InvariantKey(N, 0, tuple(sorted(left))),
-        InvariantKey(N, g, tuple(sorted(right + [(0, N - j)]))),
-    )
+def _splits(N, g, head, tail, free):
+    """The (genus-0 key, genus-g key) pair of every split of the tuple
+    `free`, in `bipartitions` order, whose factors have a degree:
+    head + chosen + tau_0(w^j) and tail + the rest + tau_0(w^(N-j)), j
+    forced by the left factor.  The dimension excess is linear in the
+    weights m + k - 1, so it is carried as a subset sum of the weights."""
+    # N + 1 times each factor's degree, before the chosen weights and j.
+    a0 = sum(m + k - 1 for m, k in head) - 1 - (N - 3)
+    w = [m + k - 1 for m, k in free]
+    b0 = sum(m + k - 1 for m, k in tail) + sum(w) + N - 1 - (N - 3) * (1 - g)
+    mod = N + 1
+    new = tuple.__new__  # InvariantKey without its Python-level __new__
+    n = len(free)
+    for r in range(n + 1):
+        # The complements of the r-subsets in lexicographic order are the
+        # (n - r)-subsets in reverse lexicographic order.
+        others = list(combinations(free, n - r))
+        others.reverse()
+        for chosen, other, s in zip(
+            combinations(free, r), others, map(sum, combinations(w, r))
+        ):
+            a = a0 + s
+            j = -a % mod
+            b = b0 - s - j
+            if a + j < 0 or b < 0 or b % mod:
+                continue
+            left = tuple(sorted(head + chosen + ((0, j),)))
+            right = tuple(sorted(tail + other + ((0, N - j),)))
+            yield new(InvariantKey, (N, 0, left)), new(InvariantKey, (N, g, right))
 
 
 def _reduction_valid(d, g, n) -> bool:
@@ -347,14 +363,7 @@ class Engine:
         if m < 1:
             raise ValueError("pivot has zero descendant level")
         rest = _without(ins, pivot_index)
-        co = rest[:2]
-        free = rest[2:]
-        terms = []
-        for chosen, other in bipartitions(free):
-            keys = _split_keys(N, [(m - 1, k)] + chosen, 0, list(co) + other)
-            if keys:
-                terms.append(keys)
-        return terms
+        return list(_splits(N, 0, ((m - 1, k),), rest[:2], rest[2:]))
 
     # ------------------------------------------------------------------
     # genus-1 topological recursion
@@ -365,10 +374,8 @@ class Engine:
         m, k = ins[piv]
         rest = _without(ins, piv)
         terms = []
-        for chosen, other in bipartitions(rest):
-            keys = _split_keys(N, [(m - 1, k)] + chosen, 1, other)
-            if keys:
-                terms.append(((yield keys[0]), (yield keys[1])))
+        for k0, k1 in _splits(N, 1, ((m - 1, k),), (), rest):
+            terms.append(((yield k0), (yield k1)))
         # Contracted-handle term, 1/24 of the full dual-basis sum.
         handle = Fraction(1, 24)
         for j in range(N + 1):

@@ -105,7 +105,8 @@ def _differences(table, degree):
     `table` maps lattice offsets alpha to the samples f(alpha); the offsets
     must form a lower set (with alpha, every alpha - e_k with alpha_k > 0).
     The table is overwritten, one axis at a time, by the forward differences
-    Delta^alpha f(0).  On a lower set the samples agree with a polynomial of
+    Delta^alpha f(0), taken on Fraction columns: the scalars and each atom's
+    coefficients.  On a lower set the samples agree with a polynomial of
     total degree <= degree exactly when every higher difference vanishes,
     so that is the consistency check.  Returns {alpha: Delta^alpha f(0)}
     for |alpha| <= degree; the interpolant is their sum against
@@ -123,13 +124,20 @@ def _differences(table, degree):
             raise UnderdeterminedSystemError(
                 f"no sample at offset {a} for an interpolant of degree {degree}"
             )
+    names = dict.fromkeys(n for v in table.values() for n in v.atoms)
+    atoms = {n: {a: v.atoms.get(n, 0) for a, v in table.items()} for n in names}
+    columns = [{a: v.scalar for a, v in table.items()}, *atoms.values()]
     for k in range(nvars):
         order = sorted(table, key=lambda a: a[k], reverse=True)
         for r in range(1, order[0][k] + 1):
             for a in order:
                 if a[k] < r:
                     break
-                table[a] = table[a] - table[_step_down(a, k)]
+                b = _step_down(a, k)
+                for col in columns:
+                    col[a] -= col[b]
+    for a in table:
+        table[a] = SymRat._make(columns[0][a], {n: c[a] for n, c in atoms.items()})
     newton = {}
     for a, d in table.items():
         if sum(a) <= degree:

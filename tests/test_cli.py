@@ -413,15 +413,19 @@ class TestCacheIO:
 
 
 class TestCacheRecordsCheckedLikeInput:
-    """A cache record whose key the engine would reject, a genus-0 record
-    that carries an atom, or a nonzero record for a key no degree fits, is
-    malformed wherever a cache file is read."""
+    """A cache record whose key the engine would reject or names a field
+    twice or a field other than N, g and ins, a genus-0 record that carries
+    an atom, or a nonzero record for a key no degree fits, is malformed
+    wherever a cache file is read."""
 
     @pytest.fixture(params=[
         ("gw[N=0;g=-1;ins=(-3,7)]", {"scalar": "5"}),
         ("gw[N=1;g=0;ins=(0,1),(2,1)]", {"scalar": "0", "atoms": {"x": "1"}}),
         ("gw[N=1;g=1;ins=(0,0)]", {"scalar": "5", "atoms": {}}),
-    ], ids=["key-out-of-range", "genus-0-atom", "nonzero-where-no-degree-fits"])
+        ("gw[N=1;N=2;g=0;ins=(1,0)]", {"scalar": "0", "atoms": {}}),
+        ("gw[N=1;g=0;ins=(1,0);foo=bar]", {"scalar": "0", "atoms": {}}),
+    ], ids=["key-out-of-range", "genus-0-atom", "nonzero-where-no-degree-fits",
+            "repeated-field", "unknown-field"])
     def bad(self, request, tmp_path):
         path = tmp_path / "bad.jsonl"
         key, value = request.param

@@ -17,7 +17,7 @@ from gwrec.engine import (
     _dim_excess,
     _forced_class,
     _g0_one,
-    _split_keys,
+    _splits,
     degree_of,
 )
 from gwrec.moduli import point_invariant
@@ -836,21 +836,44 @@ class TestSplitReference:
                 ]
                 assert E.trr0_expand(N, 0, ins, piv) == want, (N, ins, piv)
 
+    @pytest.mark.parametrize("g", [0, 1])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_splits(self, N, g):
+        """The generator on the recursions' shapes (two fixed insertions at
+        genus 0, none at genus 1), including the splits it rejects: a
+        factor of negative or fractional degree, which the recursions' own
+        inputs rarely reach."""
+        rejected = 0
+        for ins in _grid(N, (1, 2, 3, 4)):
+            for head in set(ins):
+                piv = ins.index(head)
+                rest = ins[:piv] + ins[piv + 1 :]
+                fixed, free = (rest[:2], rest[2:]) if g == 0 else ((), rest)
+                want = []
+                for left, right in _ref_splittings(head, fixed, free):
+                    hits = _ref_split(N, left, g, right)
+                    want += hits
+                    rejected += not hits
+                got = list(_splits(N, g, (head,), fixed, free))
+                assert got == want, (N, g, head, fixed, free)
+        assert rejected
+
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_genus1_split_terms(self, N):
         for ins in _grid(N, (1, 2, 3)):
             piv = Engine._pivot(ins)
             m, k = ins[piv]
             rest = ins[:piv] + ins[piv + 1 :]
+            want = [
+                hit
+                for left, right in _ref_splittings((m - 1, k), (), rest)
+                for hit in _ref_split(N, left, 1, right)
+            ]
             total = SymRat(0)
-            for left, right in _ref_splittings((m - 1, k), (), rest):
-                want = _ref_split(N, left, 1, right)
-                got = _split_keys(N, left, 1, right)
-                assert ([got] if got else []) == want, (N, left, right)
-                for k0, k1 in want:
-                    total = total + E.invariant(N, 0, k0.ins).rational() * E.invariant(
-                        N, 1, k1.ins
-                    )
+            for k0, k1 in want:
+                total = total + E.invariant(N, 0, k0.ins).rational() * E.invariant(
+                    N, 1, k1.ins
+                )
             for j in range(N + 1):
                 handle = list(rest) + [(m - 1, k), (0, j), (0, N - j)]
                 total = total + Fraction(1, 24) * E.invariant(N, 0, handle).rational()

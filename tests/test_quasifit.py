@@ -5,13 +5,14 @@ from math import prod
 
 import pytest
 
-from gwrec.algebra import MultiPoly, QuasiPoly, SymRat, c_factor
+from gwrec.algebra import MultiPoly, QuasiPoly, SymRat, binomial, c_factor, compositions
 from gwrec.engine import DEFAULT_ENGINE as E
 from gwrec.engine import degree_of
 from gwrec.quasifit import (
     FitSpec,
     InconsistentSamplesError,
     UnderdeterminedSystemError,
+    _differences,
     asymptotics_report,
     fit_stationary,
     quasi_fit,
@@ -92,6 +93,76 @@ class TestQuasiFit:
         pts = [((0,), SymRat(1)), ((2,), SymRat(2)), ((2,), SymRat(3))]
         with pytest.raises(InconsistentSamplesError):
             quasi_fit(pts, 1, 1, 1)
+
+
+def _ref_differences(table, degree):
+    """Forward differences one SymRat subtraction at a time, axis by axis."""
+    table = dict(table)
+    for k in range(len(next(iter(table)))):
+        for r in range(1, max(a[k] for a in table) + 1):
+            for a in sorted(table, key=lambda a: a[k], reverse=True):
+                if a[k] < r:
+                    break
+                table[a] = table[a] - table[a[:k] + (a[k] - 1,) + a[k + 1 :]]
+    for a, d in table.items():
+        if sum(a) > degree and d:
+            raise InconsistentSamplesError(a)
+    return {a: d for a, d in table.items() if sum(a) <= degree}
+
+
+class TestDifferences:
+    def test_columns_match_one_symrat_at_a_time(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            nvars = rng.randint(1, 3)
+            deg = rng.randint(0, 3)
+            names = ["a", "b"][: rng.randint(0, 2)]
+            # A lower set: the simplex of the degree and a random box.
+            box = [rng.randint(0, 3) for _ in range(nvars)]
+            pts = {a for d in range(deg + 1) for a in compositions(d, nvars)}
+            pts |= set(product(*(range(b + 1) for b in box)))
+
+            def rand():
+                return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+            coeffs = {
+                a: SymRat(rand(), {n: rand() for n in names})
+                for d in range(deg + 1)
+                for a in compositions(d, nvars)
+            }
+            table = {
+                x: sum(
+                    (c * prod(binomial(xi, ai) for xi, ai in zip(x, a))
+                     for a, c in coeffs.items()),
+                    SymRat(0),
+                )
+                for x in pts
+            }
+            if rng.random() < 0.3:
+                x = rng.choice(sorted(pts))
+                table[x] = table[x] + SymRat(0, {rng.choice(names or ["c"]): 1})
+            try:
+                want = _ref_differences(table, deg)
+            except InconsistentSamplesError:
+                with pytest.raises(InconsistentSamplesError):
+                    _differences(dict(table), deg)
+                continue
+            got = _differences(dict(table), deg)
+            assert got == want
+            assert all(all(v.atoms.values()) for v in got.values())
+
+    def test_cancelled_atom_leaves_no_zero_coefficient(self):
+        table = {(i,): SymRat(i, {"x": 2}) for i in range(4)}
+        got = _differences(table, 1)
+        assert got[(0,)].atoms == {"x": 2}
+        assert got[(1,)].atoms == {}
+        assert got[(1,)] == 1
+
+    def test_surplus_difference_in_an_atom_coefficient(self):
+        table = {(i,): SymRat(i) for i in range(3)}
+        table[(3,)] = SymRat(3, {"x": 1})
+        with pytest.raises(InconsistentSamplesError):
+            _differences(table, 1)
 
 
 class TestFitStationary:
