@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -354,10 +355,15 @@ def cmd_cache(args, config, engine):
     return 0
 
 
+@functools.cache
+def _parser():
+    """The argparse tree, built on the first `main` call of the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     engine = Engine()

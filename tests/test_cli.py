@@ -232,6 +232,19 @@ class TestVerifyCommands:
         rc = main(["verify", "bogus"])
         assert rc == 2
 
+    def test_parser_is_reused_across_calls(self, capsys):
+        # main builds its argparse tree once per process: a second call
+        # parses afresh, with no option carried over from the first
+        ins = ("invariant", "--N", "1", "--g", "0", "--ins", "0:1,0:1,0:1")
+        rc, recs, _ = run(capsys, "--resolve-atoms", *ins)
+        assert rc == 0 and recs[0]["atomsResolved"] == "1"
+        rc, recs, _ = run(capsys, *ins)
+        assert rc == 0 and "atomsResolved" not in recs[0]
+        rc, recs, err = run(capsys, "verify", "bogus")
+        assert rc == 2 and recs == [] and "invalid choice" in err
+        rc, recs, _ = run(capsys, "psi", "--g", "1", "--beta", "1")
+        assert rc == 0 and recs[0]["value"] == "1/24"
+
     @pytest.mark.parametrize("argv", [("fit",), ("verify", "top")])
     def test_negative_degree_bound_is_usage_error(self, capsys, argv):
         rc, recs, err = run(capsys, *argv, "--N", "1", "--g", "0", "--n", "1")

@@ -39,7 +39,7 @@ class TestRecursion:
         assert w.coefficient(((1, 4),)) == Fraction(1, 16)
         assert w.coefficient(((-1, 4),)) == Fraction(1, 16)
 
-    @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2)])
+    @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2), (0, 5), (2, 2)])
     def test_symmetry_and_residue_freeness(self, g, n):
         w = eo_invariant(g, n)
         assert w.is_symmetric()
@@ -49,6 +49,15 @@ class TestRecursion:
 
     def test_asymmetric_differential_is_detected(self):
         assert not PoleBasisDifferential(0, 2, {((1, 2), (1, 3)): Fraction(1)}).is_symmetric()
+
+    def test_asymmetry_in_the_last_slots_is_detected(self):
+        # symmetric under swapping slots 0 and 1, not under slots 1 and 2
+        pd = PoleBasisDifferential(0, 3, {((1, 2), (1, 2), (1, 3)): Fraction(1)})
+        assert not pd.is_symmetric()
+        pd.coeffs[((1, 2), (1, 3), (1, 2))] = Fraction(1)
+        assert not pd.is_symmetric()
+        pd.coeffs[((1, 3), (1, 2), (1, 2))] = Fraction(1)
+        assert pd.is_symmetric()
 
     def test_genus2_leading_coefficient(self):
         w = eo_invariant(2, 1)
@@ -240,10 +249,18 @@ class TestStringDilaton:
 
 
 class TestPoleAsymptotics:
-    @pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (1, 2)])
+    @pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (1, 2), (2, 2), (0, 5)])
     def test_orders_and_leading_terms(self, g, n):
         rep = pole_asymptotics_check(g, n)
         assert rep.status == "pass", rep.to_obj()
+
+    @pytest.mark.parametrize("g,n", [(0, 3), (1, 1), (1, 2), (0, 4)])
+    def test_mixed_sign_terms(self, g, n):
+        # a term is mixed when its slots sit at both branch points
+        curve = SpectralCurve()
+        want = sum(len({a for a, _ in assign}) > 1 for assign in curve.omega(g, n).coeffs)
+        rep = pole_asymptotics_check(g, n, curve)
+        assert rep.witness == {"mixed_sign_terms": want}
 
     def test_order_formula(self):
         assert eo_invariant(1, 2).max_order() == 6
@@ -291,6 +308,27 @@ class TestChecksReportFailures:
         rep = pole_asymptotics_check(0, 3, curve)
         assert rep.status == "fail"
         assert rep.witness == {"max_order": 4, "expected": 2}
+
+    def test_pole_leading_coefficient_at_minus_one(self):
+        curve = SpectralCurve()
+        curve.omega(0, 3).coeffs[((-1, 2), (-1, 2), (-1, 2))] -= 1
+        rep = pole_asymptotics_check(0, 3, curve)
+        assert rep.status == "fail"
+        assert rep.witness == {
+            "alpha": -1, "beta": (0, 0, 0), "got": Fraction(-1, 2), "expected": Fraction(1, 2),
+        }
+
+    def test_string_weight_reads_x(self):
+        # x enters the string weight y x^m only for m = 1
+        curve = SpectralCurve()
+        T = _chart_order(0, 4)  # the chart order the check reads for (g, n + 1)
+        for alpha in (1, -1):
+            ch = curve.chart(alpha, T)
+            ch.x = ch.x + LaurentSeries("t", ch.center, 0, [1], T)
+        assert eo_string_dilaton_check(0, 3, 0, curve).status == "pass"
+        rep = eo_string_dilaton_check(0, 3, 1, curve)
+        assert rep.status == "fail"
+        assert rep.witness["part"] == "string" and rep.witness["diff"]
 
     def test_pole_leading_coefficient(self):
         curve = SpectralCurve()
