@@ -574,6 +574,12 @@ class LaurentSeries:
         s = sum(map(mul, self.nums[: k + 1], reversed(other.nums[: k + 1])))
         return Fraction(s, self.den * other.den)
 
+    def shift(self, e: int) -> "LaurentSeries":
+        """var^e times self."""
+        return self._make(
+            self.var, self.center, self.min_exp + e, self.nums, self.den, self.trunc + e
+        )
+
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
             other = LaurentSeries.const(self.var, self.center, other, self.trunc)
@@ -721,14 +727,21 @@ def _binomial_coeffs(base, step, k):
 
 def compositions(total: int, parts: int):
     """Tuples of `parts` non-negative integers summing to `total`, in
-    lexicographic order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
+    lexicographic order.  Each one after the first moves a unit from the
+    last nonzero part j > 0 to part j - 1 and the rest of part j to the end."""
+    if parts == 0 or total < 0:
+        yield from [()] if (total, parts) == (0, 0) else []
         return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    c = [0] * (parts - 1) + [total]
+    while True:
+        yield tuple(c)
+        j = parts - 1
+        while j and not c[j]:
+            j -= 1
+        if not j:
+            return
+        c[j - 1] += 1
+        c[j], c[-1] = 0, c[j] - 1
 
 
 def bipartitions(items):

@@ -3,9 +3,13 @@
 y enters only through its exact series in the local chart at each branch
 point z = +-1, on the branch (1/2) ln z^2 that vanishes at both, so that
 y(1/z) = -y(z).  Multidifferentials are stored exactly as tensors over the
-pole basis dz/(z - a)^k, a in {+1, -1}, k >= 2; the recursion works chart
-by chart in the local variable t = z - a with exact Laurent series, so
-every coefficient that comes out is an exact rational number.
+pole basis dz/(z - a)^k, a in {+1, -1}, k >= 2.  The recursion takes the
+residue at alpha in the one variable t = z - alpha: by the linear loop
+equation omega(1/z, ...) = -omega(z, ...) of a stable differential, every
+stable factor of the bracket is read at z, where its poles are the monomials
+t^-p (z + alpha)^-q.  A bracket is then a table of rational coefficients on
+those monomials, contracted against the chart's exact residues of the
+kernel, so every coefficient that comes out is an exact rational number.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .algebra import LaurentSeries, SymRat, bipartitions, compositions, format_rat
+from .algebra import LaurentSeries, SymRat, bipartitions, compositions, dot, format_rat
 from .engine import DEFAULT_ENGINE, Engine
 from .moduli import psi_intersection
 from .quasifit import VerificationReport
@@ -76,17 +80,27 @@ class InfinitySeries:
 
 
 def _pole_bound(g, n) -> int:
-    """The highest pole order in omega^g_n."""
+    """The highest pole order in omega^g_n, and the truncation order of the
+    charts its recursion reads: a bracket monomial has p <= bound - 2, and
+    its residue reads the chart through t^(p + 1)."""
     return 6 * g - 4 + 2 * n
 
 
-def _chart_order(g, n) -> int:
-    """The truncation order of the charts the recursion for omega^g_n reads."""
-    return 12 * g + 4 * n + 10
+def _power(pows, e):
+    """pows[e] of the successive powers pows = [1, b, ...], extended as needed."""
+    while len(pows) <= e:
+        pows.append(pows[-1] * pows[1])
+    return pows[e]
 
 
 class _Chart:
-    """Exact local data of the curve at one branch point, to truncation T."""
+    """Exact local data of the curve at the branch point alpha, in the
+    variable t = z - alpha, to truncation T.
+
+    The recursion reads every stable factor at z, where the pole basis is
+    t^-p (z + alpha)^-q, so all it asks of the chart is `residues`: the
+    residues of the kernel against those monomials, with or without the
+    factor dzhat s^r that omega^0_2 brings when it is read at zhat."""
 
     def __init__(self, alpha, T):
         self.alpha = alpha
@@ -96,7 +110,6 @@ class _Chart:
         self.zhat = LaurentSeries(
             "t", c, 0, [(-1) ** r * alpha ** (r + 1) for r in range(T)], T
         )
-        self.s = self.zhat - alpha  # zhat - alpha, valuation 1
         self.dzhat = self.zhat.deriv()
         self.z = z = LaurentSeries("t", c, 0, [alpha, 1], T)
         self.x = z + self.zhat
@@ -106,43 +119,37 @@ class _Chart:
         self.xp = 1 - self.zhat * self.zhat
         self.kfac = -(self.ym_z * self.xp * 4).invert()
         self.phi = (self.ym_z * self.xp).integ()
-        self._spows = {0: LaurentSeries("t", c, 0, [1], T)}
-        self._other_pows = {}
+        one = LaurentSeries("t", c, 0, [1], T)
+        self.s_pows = [one, self.zhat - alpha]  # s = zhat - alpha, valuation 1
+        self.q_pows = [one, (z + alpha).invert()]  # the other branch point's poles
+        self._dzs = {}
         self._kj = {}
-
-    def s_pow(self, r):
-        if r not in self._spows:
-            self._spows[r] = self.s_pow(r - 1) * self.s
-        return self._spows[r]
-
-    def pole_series(self, kind, a, k):
-        """Series of 1/(arg - a)^k with arg = z or zhat; the zhat variant
-        carries the dzhat/dt Jacobian exactly once per differential factor
-        (applied by the caller)."""
-        key = (kind, a, k)
-        if key in self._other_pows:
-            return self._other_pows[key]
-        if kind == "z":
-            base = self.z - a  # t + (alpha - a)
-        else:
-            base = self.zhat - a  # s + (alpha - a)
-        out = base.invert()
-        acc = out
-        for _ in range(k - 1):
-            acc = acc * out
-        self._other_pows[key] = acc
-        return acc
+        self._res = {}
 
     def kernel(self, j):
         """Coefficient series of dz0/(z0 - alpha)^j in the recursion kernel."""
         if j not in self._kj:
             r = j - 1
             tr = LaurentSeries("t", self.center, r, [1], self.T)
-            self._kj[j] = self.kfac * (tr - self.s_pow(r))
+            self._kj[j] = self.kfac * (tr - _power(self.s_pows, r))
         return self._kj[j]
 
-    def zero(self):
-        return LaurentSeries.zero("t", self.center, self.T)
+    def residues(self, p, q, r):
+        """[Res_t kernel(j) t^-p (z + alpha)^-q X for j = 2, 3, ...], where
+        X = 1 if r is None and X = (dzhat/dt) s^r otherwise.  The kernel has
+        valuation at least j - 3, so the list stops at j = p + 2 - r."""
+        key = (p, q, r)
+        if key not in self._res:
+            y = _power(self.q_pows, q)
+            if r is not None:
+                if r not in self._dzs:
+                    self._dzs[r] = self.dzhat * _power(self.s_pows, r)
+                y = y * self._dzs[r]
+            y = y.shift(-p)
+            self._res[key] = [
+                self.kernel(j).product_residue(y) for j in range(2, p + 3 - (r or 0))
+            ]
+        return self._res[key]
 
 
 class SpectralCurve:
@@ -192,26 +199,22 @@ class SpectralCurve:
 
     def _chart_terms(self, g, n, alpha) -> dict:
         """The nonzero coefficients of omega^g_n whose first pole sits at
-        alpha, from the residue at that branch point."""
+        alpha, from the residue at that branch point.
+
+        A stable factor read at zhat = 1/z is minus the same factor read at
+        z (the linear loop equation), so every bracket term is a coefficient
+        on a monomial (p, q, r) of the chart: t^-p (z + alpha)^-q, times
+        dzhat s^r when omega^0_2 is read at zhat.  The coefficients of each
+        spectator assignment are contracted once against the residues."""
         spect = list(range(1, n))
         bound = _pole_bound(g, n)
-        out: dict = {}
-        ch = self.chart(alpha, _chart_order(g, n))
-        bracket: dict = {}
-
-        def add(factor):
-            for k, s in factor.items():
-                bracket[k] = bracket.get(k, ch.zero()) + s
-
+        ch = self.chart(alpha, bound)
+        # Every bracket term is a product of two factors; the genus-reducing
+        # term has both points in one factor and the unit as the other.
+        products = []
         if g >= 1:
-            if g == 1 and n == 1:
-                # The genus-reducing term degenerates to the Cauchy
-                # kernel evaluated on the two x-preimages.
-                zmzhat = ch.z - ch.zhat
-                w = ch.dzhat * (zmzhat * zmzhat).invert()
-                add({(): w})
-            else:
-                add(self._stored_factor(g - 1, ["z", "zhat"], spect, ch))
+            both = self._factor(g - 1, 2, spect, alpha, bound, zhat=True)
+            products.append((both, {(): [((0, 0, None), 1)]}))
         for g1 in range(g + 1):
             g2 = g - g1
             for gI, gJ in bipartitions(spect):
@@ -219,59 +222,59 @@ class SpectralCurve:
                     continue
                 if g2 == 0 and not gJ:
                     continue
-                left = self._piece(g1, "z", gI, ch, bound)
-                right = self._piece(g2, "zhat", gJ, ch, bound)
-                add(_mul_factors(left, right, ch))
-        for skey, w in bracket.items():
-            # A zero series has min_exp = T > 0, so the range of j is empty.
-            jmax = 2 - w.min_exp
-            for j in range(2, jmax + 1):
-                res = ch.kernel(j).product_residue(w)
-                if res:
-                    assign = [None] * n
-                    assign[0] = (alpha, j)
-                    for idx, ak in skey:
-                        assign[idx] = ak
-                    akey = tuple(assign)
-                    out[akey] = out.get(akey, Fraction(0)) + res
-        return {a: c for a, c in out.items() if c}
-
-    def _piece(self, gp, kind, gvars, ch, bound):
-        if gp == 0 and len(gvars) == 1:
-            return self._omega02_factor(kind, gvars[0], ch, bound)
-        return self._stored_factor(gp, [kind], gvars, ch)
-
-    def _stored_factor(self, gp, subs, gvars, ch):
-        pd = self.omega(gp, len(subs) + len(gvars))
+                left = self._factor(g1, 1, gI, alpha, bound)
+                products.append((left, self._factor(g2, 1, gJ, alpha, bound, zhat=True)))
+        # spectator key -> {(p, q, r): pairs (a, b) whose sum of a * b is
+        # the coefficient}
+        bracket: dict = {}
+        for left, right in products:
+            for lkey, lterms in left.items():
+                for rkey, rterms in right.items():
+                    sterms = bracket.setdefault(tuple(sorted(lkey + rkey)), {})
+                    for (p1, q1, r1), c1 in lterms:
+                        for (p2, q2, r2), c2 in rterms:
+                            mono = (p1 + p2, q1 + q2, r1 if r2 is None else r2)
+                            sterms.setdefault(mono, []).append((c1, c2))
         out: dict = {}
-        for assign, c in pd.coeffs.items():
-            series = None
-            spect = []
-            for slot, (a, k) in enumerate(assign):
-                if slot < len(subs):
-                    piece = ch.pole_series(subs[slot], a, k)
-                    if subs[slot] == "zhat":
-                        piece = piece * ch.dzhat
-                    series = piece if series is None else series * piece
-                else:
-                    spect.append((gvars[slot - len(subs)], (a, k)))
-            series = series * c
-            key = tuple(sorted(spect))
-            out[key] = out.get(key, ch.zero()) + series
+        for skey, terms in bracket.items():
+            rows = []
+            for mono, pairs in terms.items():
+                c = dot(pairs)
+                if c:
+                    rows.append((c, ch.residues(*mono)))
+            rest = tuple(ak for _, ak in skey)  # skey is sorted by slot
+            for j in range(max((len(res) for _, res in rows), default=0)):
+                val = dot((c, res[j]) for c, res in rows if j < len(res))
+                if val:
+                    out[((alpha, j + 2),) + rest] = val
         return out
 
-    def _omega02_factor(self, kind, gvar, ch, bound):
-        """omega^0_2 with one argument at the recursion point: its expansion
-        produces every pole order in the spectator variable."""
-        out = {}
-        rmax = bound + 2
-        for r in range(rmax + 1):
-            if kind == "z":
-                # 1/(z_i - alpha - t)^2 = sum (r+1) t^r / (z_i - alpha)^{r+2}
-                series = LaurentSeries("t", ch.center, r, [r + 1], ch.T)
-            else:
-                series = ch.dzhat * (r + 1) * ch.s_pow(r)
-            out[((gvar, (ch.alpha, r + 2)),)] = series
+    def _factor(self, gp, nz, gvars, alpha, bound, zhat=False) -> dict:
+        """omega^gp with its first nz slots at the recursion point, the last
+        of them at zhat if zhat is set, and the rest on the spectators
+        gvars, as {spectator key: [((p, q, r), c)]}.  A stable factor read
+        at zhat is minus the one read at z; omega^0_2 is expanded in its
+        spectator through pole order bound + 4."""
+        if gp == 0 and nz + len(gvars) == 2:
+            if nz == 2:
+                # dz dzhat / (z - 1/z)^2 = -t^-2 (z + alpha)^-2 dz dz, as
+                # z - 1/z = t (z + alpha) / z and dzhat = -dz / z^2
+                return {(): [((2, 2, None), -1)]}
+            (gvar,) = gvars
+            return {
+                ((gvar, (alpha, r + 2)),): [((0, 0, r) if zhat else (-r, 0, None), r + 1)]
+                for r in range(bound + 3)
+            }
+        out: dict = {}
+        for assign, c in self.omega(gp, nz + len(gvars)).coeffs.items():
+            p = q = 0
+            for a, k in assign[:nz]:
+                if a == alpha:
+                    p += k
+                else:
+                    q += k
+            skey = tuple(zip(gvars, assign[nz:]))
+            out.setdefault(skey, []).append(((p, q, None), -c if zhat else c))
         return out
 
 
@@ -281,16 +284,6 @@ def _reflect(terms) -> dict:
         tuple((-a, k) for a, k in assign): -c if sum(k for _, k in assign) % 2 else c
         for assign, c in terms.items()
     }
-
-
-def _mul_factors(f1, f2, ch):
-    out = {}
-    for k1, s1 in f1.items():
-        for k2, s2 in f2.items():
-            key = tuple(sorted(k1 + k2))
-            prod = s1 * s2
-            out[key] = out.get(key, ch.zero()) + prod
-    return out
 
 
 def eo_invariant(g, n, curve: SpectralCurve | None = None) -> PoleBasisDifferential:
@@ -380,20 +373,13 @@ def gw_generating(g, n, depth, engine: Engine = DEFAULT_ENGINE) -> dict:
     """Slot values <prod tau_{m_i}(pt)>^g of the projective line times
     prod (m_i + 1)!, for all slots with sum(m_i + 2) <= depth."""
     out = {}
-
-    def rec(prefix, budget):
-        if len(prefix) == n:
-            val = engine.invariant(1, g, [(m, 1) for m in prefix])
+    for total in range(depth - 2 * n + 1):
+        for ms in compositions(total, n):
+            val = engine.invariant(1, g, [(m, 1) for m in ms])
             if val:
-                for m in prefix:
+                for m in ms:
                     val = val * factorial(m + 1)
-                out[tuple(prefix)] = val
-            return
-        slots_left = n - len(prefix) - 1
-        for m in range(budget - 2 - 2 * slots_left + 1):
-            rec(prefix + [m], budget - m - 2)
-
-    rec([], depth)
+                out[ms] = val
     return out
 
 
@@ -542,11 +528,12 @@ def eo_string_dilaton_check(
     """Exact identity checks: the string equation with weight x^m (m = 0, 1)
     and the dilaton equation, both as equalities of rational tensors."""
     claim = f"eo-string-dilaton ({g},{n}) m={m}"
+    base = _xm_over_xp(m)  # rejects m outside {0, 1} before any recursion
     curve = curve or SpectralCurve()
     hi = curve.omega(g, n + 1)
     lo = curve.omega(g, n)
     # The charts the recursion for hi already built.
-    T = _chart_order(g, n + 1)
+    T = _pole_bound(g, n + 1)
 
     # String equation.  LHS: residues of y x^m against the last slot.
     weights = {}
@@ -564,7 +551,6 @@ def eo_string_dilaton_check(
         _tensor_add(lhs, key, c * factor)
     # RHS: minus the derivative terms of the lower invariant.
     rhs: dict = {}
-    base = _xm_over_xp(m)
     for assign, c in lo.coeffs.items():
         for i in range(n):
             a, k = assign[i]

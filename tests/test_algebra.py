@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -19,6 +19,7 @@ from gwrec.algebra import (
     c_factor,
     c_factor_closed,
     ceil_div,
+    compositions,
     dot,
     format_rat,
     parse_rat,
@@ -229,6 +230,14 @@ class TestBipartitions:
         ]
         assert list(bipartitions(items)) == want
         assert len(want) == 2**n
+
+
+class TestCompositions:
+    @pytest.mark.parametrize("parts", range(5))
+    def test_matches_filtered_product(self, parts):
+        for total in range(-2, 7):
+            want = [c for c in product(range(total + 1), repeat=parts) if sum(c) == total]
+            assert list(compositions(total, parts)) == want
 
 
 def _random_series(rng, var="t", center="0", lo=-5, n=9):
@@ -450,6 +459,11 @@ class TestLaurentKernel:
             assert type(got) is Fraction and got == want
         with pytest.raises(TruncationError):
             s.coefficient(trunc)
+
+    @given(_series_args(), st.integers(-4, 4))
+    def test_shift(self, a, e):
+        s, (m, cs, trunc) = _build(a)
+        assert _state(s.shift(e)) == (m + e, cs, trunc + e)
 
     @given(_series_args(), _series_args())
     def test_product_residue(self, a, b):

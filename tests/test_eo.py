@@ -1,7 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -11,7 +11,7 @@ from gwrec.engine import Engine
 from gwrec.eo import (
     PoleBasisDifferential,
     SpectralCurve,
-    _chart_order,
+    _pole_bound,
     _w_series,
     compare_eo_gw,
     eo_invariant,
@@ -117,8 +117,10 @@ class TestMirrorCharts:
 
 # sha256 of json.dumps(omega(g, n).to_obj(), sort_keys=True).  (1, 3), (2, 1),
 # (2, 2) and (0, 5) were computed with the recursion run on both charts in
-# Fraction arithmetic, the others with ln z replaced by its truncation y_M,
-# M = 6g - 4 + 2n; the exact series of ln z gives the same digests.
+# Fraction arithmetic, (2, 3) and (3, 1) with every factor at zhat = 1/z
+# expanded as a Laurent series in its own right, the others with ln z
+# replaced by its truncation y_M, M = 6g - 4 + 2n; the exact series of ln z
+# and the linear loop equation give the same digests.
 GOLDEN_OMEGA = {
     (0, 3): "70545704a42a519d6278363741616a7a02ddc7bbcc8c5547a94f9342ff80f4b7",
     (0, 4): "0c04040dd6fa63e3ce024daa02d2ca4c37dcca02ee085f2f10d3a4452dd74ed4",
@@ -129,6 +131,8 @@ GOLDEN_OMEGA = {
     (2, 1): "8e3abf8445c5864e505ebe77fc4093c8e6b4e8104a08303386eed0c2174f0002",
     (2, 2): "5748c4a37a1b10c370c0e87fcea58504cadcce39b6d002aaf2e8eefe4208c501",
     (0, 5): "330d0b4834a8b9f531cc3e10c183a7541a95b0405fc6f53e38e8f096cc16adf3",
+    (2, 3): "209fda4fb2c9c992515214d90ce0325fb8f076d15c8194448736697fd0436612",
+    (3, 1): "876ac3745d9cab0e22605f4db64ddb4e5a273df3b0cca131b0ac80090203d24f",
 }
 
 
@@ -136,6 +140,50 @@ GOLDEN_OMEGA = {
 def test_omega_golden_digest(g, n):
     record = json.dumps(eo_invariant(g, n).to_obj(), sort_keys=True)
     assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN_OMEGA[(g, n)]
+
+
+def _at_inverse(coeffs, slot) -> dict:
+    """The image of a pole-basis differential under z -> 1/z in one slot:
+    dz/(z - b)^l goes to -(-b)^l sum_i C(l-2, i) b^(l-2-i) dz/(z - b)^(l-i),
+    since b = 1/b at the branch points b = +-1."""
+    out: dict = {}
+    for assign, c in coeffs.items():
+        b, l = assign[slot]
+        for i in range(l - 1):
+            key = assign[:slot] + ((b, l - i),) + assign[slot + 1:]
+            out[key] = out.get(key, 0) - c * (-b) ** l * comb(l - 2, i) * b ** (l - 2 - i)
+    return {a: c for a, c in out.items() if c}
+
+
+def _odd_in(coeffs, slot) -> bool:
+    image = _at_inverse(coeffs, slot)
+    return not any(coeffs.get(a, 0) + image.get(a, 0) for a in set(coeffs) | set(image))
+
+
+class TestLinearLoopEquation:
+    """omega^g_n(.., 1/z_i, ..) = -omega^g_n(.., z_i, ..) for stable (g, n),
+    the identity by which the recursion reads every stable factor at z."""
+
+    @pytest.fixture(scope="class")
+    def curve(self):
+        return SpectralCurve()
+
+    def test_the_image_map_is_an_involution(self):
+        coeffs = {((1, 5), (-1, 2)): Fraction(3), ((-1, 4), (-1, 3)): Fraction(-1, 7)}
+        for slot in (0, 1):
+            assert _at_inverse(_at_inverse(coeffs, slot), slot) == coeffs
+
+    @pytest.mark.parametrize("g,n", sorted(GOLDEN_OMEGA))
+    def test_every_slot(self, g, n, curve):
+        w = curve.omega(g, n).coeffs
+        for slot in range(n):
+            assert _odd_in(w, slot), (g, n, slot)
+
+    def test_one_wrong_coefficient_breaks_it(self, curve):
+        # dz/(z - 1)^2 is odd by itself; dz/(z - 1)^3 is not
+        w = dict(curve.omega(0, 4).coeffs)
+        w[((1, 3),) + ((1, 2),) * 3] += 1
+        assert not _odd_in(w, 0)
 
 
 class TestExpansion:
@@ -235,12 +283,18 @@ class TestStringDilaton:
         rep = eo_string_dilaton_check(g, n, m)
         assert rep.status == "pass", rep.to_obj()
 
+    def test_string_power_is_checked_before_any_recursion(self):
+        curve = SpectralCurve()
+        with pytest.raises(ValueError):
+            eo_string_dilaton_check(2, 2, 2, curve)
+        assert curve._omegas == {}
+
     def test_constant_shift_of_antiderivative_is_irrelevant(self):
         # the dilaton part reads phi at order k - 1 >= 1 only, since the
         # invariants carry no first-order poles, so phi + c leaves it whole
         for g, n in [(0, 3), (1, 1)]:
             curve = SpectralCurve()
-            T = _chart_order(g, n + 1)  # the chart order the check reads
+            T = _pole_bound(g, n + 1)  # the chart order the check reads
             for alpha in (1, -1):
                 ch = curve.chart(alpha, T)
                 ch.phi = ch.phi + LaurentSeries("t", ch.center, 0, [Fraction(7, 3)], T)
@@ -294,7 +348,7 @@ class TestChecksReportFailures:
         # phi + t changes the dilaton residues at second-order poles; the
         # string part never reads phi
         curve = SpectralCurve()
-        T = _chart_order(0, 4)  # the chart order the check reads for (g, n + 1)
+        T = _pole_bound(0, 4)  # the chart order the check reads for (g, n + 1)
         for alpha in (1, -1):
             ch = curve.chart(alpha, T)
             ch.phi = ch.phi + LaurentSeries("t", ch.center, 1, [1], T)
@@ -321,7 +375,7 @@ class TestChecksReportFailures:
     def test_string_weight_reads_x(self):
         # x enters the string weight y x^m only for m = 1
         curve = SpectralCurve()
-        T = _chart_order(0, 4)  # the chart order the check reads for (g, n + 1)
+        T = _pole_bound(0, 4)  # the chart order the check reads for (g, n + 1)
         for alpha in (1, -1):
             ch = curve.chart(alpha, T)
             ch.x = ch.x + LaurentSeries("t", ch.center, 0, [1], T)
