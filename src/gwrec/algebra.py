@@ -31,6 +31,17 @@ def ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def exact_int(x) -> int:
+    """x as an int, for an int, an integral Fraction or the like; ValueError
+    naming x when it is not integral, rather than truncate it."""
+    if type(x) is int:
+        return x
+    n = int(x)
+    if n != x:
+        raise ValueError(f"non-integral value {x!r}")
+    return n
+
+
 def c_factor(N: int, m: int) -> int:
     """The ceiling factorial c_N(m) = ceil(m/N) * c_N(m-1), c_N(0) = 1.
 

@@ -26,14 +26,15 @@ from itertools import combinations, product
 from math import factorial
 from typing import NamedTuple
 
-from .algebra import SymRat, bipartitions, c_factor, compositions, dot
+from .algebra import SymRat, bipartitions, c_factor, compositions, dot, exact_int
 
 
 class InvariantKey(NamedTuple):
     """Canonical identity of one bracket: target dimension, genus, and the
     sorted multiset of insertions (m, k).  A plain tuple, so hashing and
     equality run in C; the recursions build it directly from pairs of ints
-    that are already sorted, and `make` coerces and sorts outside input."""
+    that are already sorted, and `make` coerces and sorts outside input,
+    raising ValueError on a non-integral entry."""
 
     N: int
     g: int
@@ -41,8 +42,8 @@ class InvariantKey(NamedTuple):
 
     @classmethod
     def make(cls, N, g, insertions) -> "InvariantKey":
-        ins = tuple(sorted((int(m), int(k)) for m, k in insertions))
-        return cls(int(N), int(g), ins)
+        ins = tuple(sorted([(exact_int(m), exact_int(k)) for m, k in insertions]))
+        return cls(exact_int(N), exact_int(g), ins)
 
     def degree(self):
         return degree_of(self.N, self.g, self.ins)

@@ -23,6 +23,7 @@ from .algebra import (
     ceil_div,
     compositions,
     dot,
+    exact_int,
     format_rat,
 )
 from .engine import DEFAULT_ENGINE, Engine, _forced_class, degree_of
@@ -261,12 +262,15 @@ class StationaryFamily:
     FitSpec of the same slots.
 
     Arguments below the sampling floor (negative entries in particular) are
-    evaluated by exact univariate extrapolation along their coset, one slot
-    at a time, in Newton form from the forward differences of degree + 2
-    nodes; the vanishing of the top difference is the embedded
-    quasi-polynomiality check.  The genus-0 one- and two-slot families use
+    evaluated by exact extrapolation along their cosets, all such slots at
+    once: the bracket is sampled on the simplex of nodes base + (N+1) j,
+    |j| <= degree + 1, in those slots, and read off the Newton form of
+    `_differences`, whose check that every difference at |j| = degree + 1
+    vanishes is the embedded quasi-polynomiality check (the total-degree
+    check of `quasi_fit`).  The genus-0 one- and two-slot families use
     their closed forms instead: they are rational in the arguments, not
-    polynomial, and raise ValueError at their poles.
+    polynomial, and raise ValueError at their poles.  Every argument must
+    be integral.
     """
 
     def __init__(self, N, g, nvars, engine: Engine = DEFAULT_ENGINE):
@@ -277,7 +281,7 @@ class StationaryFamily:
         self._memo: dict = {}
 
     def value(self, v) -> SymRat:
-        v = tuple(int(x) for x in v)
+        v = tuple(map(exact_int, v))
         N, g, n = self.spec.N, self.spec.g, self.spec.n
         if len(v) != n:
             raise ValueError("arity mismatch")
@@ -299,23 +303,29 @@ class StationaryFamily:
         spec = self.spec
         mod = spec.N + 1
         degree = spec.degree_bound
-        for i, x in enumerate(v):
-            if x < spec.floor():
-                base = spec.base(x)
-                table = {
-                    (j,): self.value(v[:i] + (base + mod * j,) + v[i + 1 :])
-                    for j in range(degree + 2)
-                }
-                try:
-                    newton = _differences(table, degree)
-                except InconsistentSamplesError as exc:
-                    raise InconsistentSamplesError(
-                        f"slice through {v} is not polynomial of degree "
-                        f"{degree}: {exc}"
-                    ) from None
-                t = (x - base) // mod
-                return SymRat.of(dot((d, binomial(t, j)) for (j,), d in newton.items()))
-        return _normalized(self.engine, spec.N, spec.g, v)
+        low = [i for i, x in enumerate(v) if x < spec.floor()]
+        if not low:
+            return _normalized(self.engine, spec.N, spec.g, v)
+        bases = [spec.base(v[i]) for i in low]
+        table = {}
+        for total in range(degree + 2):
+            for j in compositions(total, len(low)):
+                w = list(v)
+                for i, b, ji in zip(low, bases, j):
+                    w[i] = b + mod * ji
+                table[j] = _normalized(self.engine, spec.N, spec.g, w)
+        try:
+            newton = _differences(table, degree)
+        except InconsistentSamplesError as exc:
+            raise InconsistentSamplesError(
+                f"the family through {v} is not polynomial of degree {degree} "
+                f"in the slots {low}: {exc}"
+            ) from None
+        t = [(v[i] - b) // mod for i, b in zip(low, bases)]
+        return SymRat.of(dot(
+            (d, prod(binomial(ti, ji) for ti, ji in zip(t, j)))
+            for j, d in newton.items()
+        ))
 
 
 _FAMILIES: dict = {}
@@ -371,8 +381,8 @@ def verify_negative_evaluation(
     the engine bracket against the quasi-polynomial family.  Off the coset
     that `stationary_parity` selects both sides vanish by dimension, and the
     family is not evaluated there."""
-    ks = tuple(int(k) for k in k_exponents)
-    ms = tuple(int(m) for m in m_vector)
+    ks = tuple(map(exact_int, k_exponents))
+    ms = tuple(map(exact_int, m_vector))
     claim = f"negative-evaluation N={N} g={g} k={ks} m={ms}"
     if any(not 0 <= k <= N for k in ks):
         raise ValueError("primary exponent out of range")

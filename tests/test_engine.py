@@ -284,6 +284,18 @@ class TestDispatch:
         with pytest.raises(ValueError):
             E.invariant(2, 0, [(0, 5)])
 
+    def test_non_integral_input_is_rejected(self):
+        # 2.9 would otherwise be read as level 2
+        with pytest.raises(ValueError, match="2.9"):
+            InvariantKey.make(1, 0, [(2.9, 1), (0, 1), (0, 1)])
+        with pytest.raises(ValueError, match=r"Fraction\(1, 2\)"):
+            E.invariant(1, 0, [(Fraction(1, 2), 1), (0, 1), (0, 1)])
+        with pytest.raises(ValueError, match="2.5"):
+            InvariantKey.make(2.5, 0, [(0, 1)])
+        key = InvariantKey.make(Fraction(1), 0, [(Fraction(4), 1), (0, 1), (0, 1)])
+        assert key == InvariantKey.make(1, 0, [(4, 1), (0, 1), (0, 1)])
+        assert all(type(x) is int for x in (key.N, key.g, *key.ins[-1]))
+
     def test_permutation_invariance_and_cache(self):
         ins = [(2, 1), (0, 1), (3, 1), (1, 1)]
         a = E.invariant(1, 0, ins)

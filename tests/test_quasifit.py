@@ -1,7 +1,9 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
-from itertools import product
-from math import prod
+from itertools import combinations_with_replacement, product
+from math import comb, prod
 
 import pytest
 
@@ -26,6 +28,8 @@ from gwrec.quasifit import (
 
 from gwrec.engine import Engine, InvariantKey
 from gwrec.quasifit import StationaryFamily
+
+NEGATIVE_TWO_PRIMARIES = "b8f367e83dc7c380e156b3b868ccc3755d924e2868913006977974e37d1793a3"
 
 ATOM_A = "gw[N=1;g=1;ins=(0,1)]"
 ATOMS = {ATOM_A: Fraction(-1, 24)}
@@ -235,6 +239,53 @@ class TestStationaryFamily:
         lhs = lhs * c_factor(3, 4) * c_factor(3, 3)
         assert fam.value((-1, 4, 3)) == lhs
 
+    @pytest.mark.parametrize("N,g,n", [(1, 0, 3), (2, 0, 3), (1, 1, 3), (2, 1, 3), (1, 1, 4)])
+    def test_two_low_slots_match_the_fit(self, N, g, n):
+        # The fit interpolates on per-coset grids and runs quasi_fit's own
+        # checks; the family extrapolates from the simplex of nodes in the
+        # low slots.  Every on-coset point with two or more low slots.
+        q = fit_stationary(FitSpec(N, g, n))
+        fam = StationaryFamily(N, g, n)
+        floor = FitSpec(N, g, n).floor()
+        pts = [
+            v for v in product(range(-N, 3), repeat=n)
+            if sum(v) % (N + 1) == stationary_parity(N, g, n)
+            and sum(x < floor for x in v) >= 2
+        ]
+        assert pts
+        for v in pts:
+            assert fam.value(v) == q.eval(v), v
+
+    # N = 1, g = 1, three slots: the degree is 3 and the floor 2, and the
+    # query (-1, 0, 3) has the low slots on the bases 3 and 2, so each node
+    # (j0, j1) is the bracket at levels (3 + 2 j0, 2 + 2 j1, 3) and no two
+    # nodes share a key.
+    @pytest.mark.parametrize("node", [(1, 1), (0, 3), (2, 2), (4, 0)])
+    def test_one_wrong_node_is_caught(self, node):
+        levels = (3 + 2 * node[0], 2 + 2 * node[1], 3)
+        fam = StationaryFamily(1, 1, 3, OneBracketOff(1, 1, [(m, 1) for m in levels]))
+        with pytest.raises(InconsistentSamplesError, match="is not polynomial"):
+            fam.value((-1, 0, 3))
+
+    def test_two_low_slots_sample_a_simplex(self):
+        class Counting(Engine):
+            calls = 0
+
+            def invariant(self, N, g, insertions):
+                self.calls += 1
+                return super().invariant(N, g, insertions)
+
+        eng = Counting()
+        D = FitSpec(2, 1, 5).degree_bound
+        StationaryFamily(2, 1, 5, eng).value((-2, -1, 2, 4, 7))
+        assert eng.calls == comb(D + 3, 2) == 28
+
+    def test_non_integral_argument_is_rejected(self):
+        fam = stationary_family(1, 0, 2)
+        with pytest.raises(ValueError, match="-1.5"):
+            fam.value((-1.5, 4))
+        assert fam.value((Fraction(-1), Fraction(4))) == fam.value((-1, 4))
+
     def test_non_polynomial_slice_is_rejected(self):
         class ConstantEngine(Engine):
             # c-normalised values become c_2(m), which grows factorially
@@ -299,6 +350,32 @@ class TestVerifiers:
     def test_negative_evaluation(self, N, g, ks, ms):
         rep = verify_negative_evaluation(N, g, ks, ms)
         assert rep.status == "pass", rep.to_obj()
+
+    def test_negative_evaluation_two_primaries_pinned(self):
+        # sha256 of the reports, as computed when the family extrapolated
+        # one slot at a time: two primary insertions and one or two
+        # stationary ones, so each query has up to two slots below the floor.
+        eng = Engine()
+        reps = []
+        for N in (1, 2):
+            for g in (0, 1):
+                lo = max(0, 3 * g - 1)
+                for ks in combinations_with_replacement(range(N + 1), 2):
+                    for n in (1, 2):
+                        for ms in combinations_with_replacement((lo, lo + 1, lo + 3), n):
+                            reps.append(verify_negative_evaluation(N, g, ks, ms, eng).to_obj())
+        assert len(reps) == 162 and {r["status"] for r in reps} == {"pass"}
+        digest = hashlib.sha256(json.dumps(reps, sort_keys=True).encode()).hexdigest()
+        assert digest == NEGATIVE_TWO_PRIMARIES
+
+    def test_negative_evaluation_rejects_non_integral_input(self):
+        # 1.7 and 3.2 would otherwise be read as 1 and 3, and pass
+        with pytest.raises(ValueError, match="1.7"):
+            verify_negative_evaluation(1, 0, [1.7], [3, 5])
+        with pytest.raises(ValueError, match="3.2"):
+            verify_negative_evaluation(1, 0, [1], [3.2, 5])
+        rep = verify_negative_evaluation(1, 0, [Fraction(1)], [Fraction(3), 5])
+        assert rep.to_obj() == verify_negative_evaluation(1, 0, [1], [3, 5]).to_obj()
 
     def test_negative_evaluation_needs_an_insertion(self):
         with pytest.raises(ValueError):
