@@ -331,18 +331,34 @@ class MultiPoly:
     def from_newton(cls, newton, base, step) -> "MultiPoly":
         """The monomial form of sum_alpha c_alpha prod_k
         binomial((x_k - base_k)/step, alpha_k), from the Newton coefficients
-        `newton` = {alpha: c_alpha}."""
+        `newton` = {alpha: c_alpha}.
+
+        binomial((x - b)/step, a) is P_a(x) / (step^a a!) with the integer
+        falling factorial P_a(x) = prod_{j<a} (x - b - j step), so each
+        c_alpha is scaled once and every monomial is one `dot` of the
+        scaled coefficients against integer products of P's coefficients."""
         top = max(map(sum, newton), default=0)
-        binoms = [[_binomial_coeffs(b, step, a) for a in range(top + 1)] for b in base]
-        terms: dict = {}
+        falling = []  # falling[k][a]: coefficients of P_a at base[k], lowest first
+        for b in base:
+            rows = [[1]]
+            for j in range(top):
+                shift = b + j * step
+                p = rows[-1]
+                rows.append([u - shift * v for u, v in zip([0, *p], [*p, 0])])
+            falling.append(rows)
+        pairs: dict = {}
         for alpha, c in newton.items():
             if not c:
                 continue
+            scale = step ** sum(alpha) * prod(map(factorial, alpha))
+            if scale != 1:
+                c = c * Fraction(1, scale)
+            polys = [falling[k][a] for k, a in enumerate(alpha)]
             for e in product(*(range(a + 1) for a in alpha)):
-                w = prod(binoms[k][a][ek] for k, (a, ek) in enumerate(zip(alpha, e)))
+                w = prod(p[ek] for p, ek in zip(polys, e))
                 if w:
-                    terms[e] = terms.get(e, ZERO) + c * w
-        return cls(len(base), terms)
+                    pairs.setdefault(e, []).append((c, w))
+        return cls(len(base), {e: dot(ps) for e, ps in pairs.items()})
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -376,7 +392,8 @@ class MultiPoly:
     def eval(self, point) -> SymRat:
         if len(point) != self.nvars:
             raise ValueError("evaluation arity mismatch")
-        point = [Fraction(p) for p in point]
+        # Integer points stay ints, so the powers are integer powers.
+        point = [p if type(p) is int else Fraction(p) for p in point]
         return SymRat.of(dot(
             (c, prod(p**k for p, k in zip(point, e))) for e, c in self.terms.items()
         ))
@@ -723,17 +740,6 @@ def binomial(n: int, k: int) -> int:
     for i in range(k):
         out *= n - i
     return out // factorial(k)
-
-
-def _binomial_coeffs(base, step, k):
-    """Monomial coefficients, lowest degree first, of binomial((x - base)/step, k)."""
-    out = [Fraction(1)]
-    for j in range(k):
-        # times (x - base - j*step) / (step*(j+1))
-        den = step * (j + 1)
-        shift = Fraction(-(base + j * step), den)
-        out = [shift * a + Fraction(b, den) for a, b in zip(out + [0], [0] + out)]
-    return out
 
 
 def compositions(total: int, parts: int):

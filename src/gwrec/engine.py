@@ -355,7 +355,7 @@ class Engine:
         values.  The two co-pivots are the first two remaining insertions in
         canonical order; every splitting of the rest is distributed over the
         two factors and the splitting class is forced by dimension."""
-        ins = tuple(sorted((int(m), int(k)) for m, k in insertions))
+        ins = tuple(sorted((exact_int(m), exact_int(k)) for m, k in insertions))
         if g != 0:
             raise ValueError("trr0_expand is genus-0 only")
         if len(ins) < 3:
@@ -398,8 +398,8 @@ class Engine:
         if beta < 0:
             raise ValueError("beta must be >= 0")
         # The chain factors' keys are built from these without coercion.
-        first_class, m, k = int(first_class), int(pivot[0]), int(pivot[1])
-        extras = tuple(sorted((int(a), int(b)) for a, b in extras))
+        first_class, m, k = map(exact_int, (first_class, pivot[0], pivot[1]))
+        extras = tuple(sorted((exact_int(a), exact_int(b)) for a, b in extras))
         memo_key = (N, first_class, m, k, extras, beta)
         if memo_key in self._bb_memo:
             return self._bb_memo[memo_key]
@@ -466,7 +466,7 @@ class Engine:
         bracket, a Fraction, times the value of a genus-g key, over the
         split of the contact order 3g-2 and over all distributions of the
         remaining insertions."""
-        ins = tuple(sorted((int(m), int(k)) for m, k in insertions))
+        ins = tuple(sorted((exact_int(m), exact_int(k)) for m, k in insertions))
         if g < 1:
             raise ValueError("trrg_expand needs genus >= 1")
         m, k = ins[pivot_index]

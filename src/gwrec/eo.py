@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .algebra import LaurentSeries, SymRat, bipartitions, compositions, dot, format_rat
@@ -585,12 +586,28 @@ def eo_string_dilaton_check(
     return VerificationReport(claim, "pass")
 
 
+@lru_cache(maxsize=64)
+def _airy_leading(g, n) -> tuple:
+    """The Airy limit of the leading coefficients, as (beta, value) pairs:
+    2^(5-5g-2n) <tau_beta>_g prod (2b+1)!/b! at the orders 2b+2."""
+    shift = 5 - 5 * g - 2 * n
+    leading = []
+    for beta in compositions(3 * g - 3 + n, n):
+        weight = 1
+        for b in beta:
+            weight *= factorial(2 * b + 1) // factorial(b)
+        scaled = weight << shift if shift >= 0 else Fraction(weight, 1 << -shift)
+        leading.append((beta, scaled * psi_intersection(g, beta)))
+    return tuple(leading)
+
+
 def pole_asymptotics_check(
     g, n, curve: SpectralCurve | None = None
 ) -> VerificationReport:
     """Pole orders and the same-sign leading coefficients of the invariant,
     read against the psi intersection numbers.  The differential is read
-    afresh on every call, in one pass over its terms."""
+    afresh on every call, in one pass over its terms; the expected leading
+    coefficients depend on (g, n) alone and are built once per pair."""
     claim = f"pole-asymptotics ({g},{n})"
     pd = eo_invariant(g, n, curve)
     bound = _pole_bound(g, n)
@@ -608,17 +625,8 @@ def pole_asymptotics_check(
             mixed += 1
     if top != bound:
         return VerificationReport(claim, "fail", {"max_order": top, "expected": bound})
-    # The Airy limit: 2^(5-5g-2n) <tau_beta>_g prod (2b+1)!/b! at orders 2b+2.
-    shift = 5 - 5 * g - 2 * n
-    leading = []
-    for beta in compositions(3 * g - 3 + n, n):
-        weight = 1
-        for b in beta:
-            weight *= factorial(2 * b + 1) // factorial(b)
-        scaled = weight << shift if shift >= 0 else Fraction(weight, 1 << -shift)
-        leading.append((beta, scaled * psi_intersection(g, beta)))
     for alpha in (1, -1):
-        for beta, expected in leading:
+        for beta, expected in _airy_leading(g, n):
             got = pd.coefficient(tuple((alpha, 2 * b + 2) for b in beta))
             if got != expected:
                 return VerificationReport(

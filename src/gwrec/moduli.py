@@ -13,7 +13,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 
-from .algebra import MultiPoly, QuasiPoly, binomial, bipartitions, compositions
+from .algebra import (
+    MultiPoly,
+    QuasiPoly,
+    binomial,
+    bipartitions,
+    compositions,
+    exact_int,
+)
 
 
 class UnstableKeyError(ValueError):
@@ -38,7 +45,7 @@ def psi_intersection(g: int, beta) -> Fraction:
     Returns 0 when the dimension constraint sum(beta) = 3g - 3 + n fails;
     raises UnstableKeyError when 2g - 2 + n <= 0.
     """
-    beta = tuple(sorted(int(b) for b in beta))
+    beta = tuple(sorted(map(exact_int, beta)))
     n = len(beta)
     if any(b < 0 for b in beta):
         raise ValueError("negative psi exponent")
@@ -127,7 +134,7 @@ def point_invariant(g: int, m, d: int) -> Fraction:
 
 
 def _point_check(g, m, d):
-    m = tuple(int(x) for x in m)
+    m = tuple(map(exact_int, m))
     if d < 0 or any(x < 0 for x in m):
         raise ValueError("negative data")
     if not _stable(g, len(m) + d):

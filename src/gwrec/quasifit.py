@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from math import prod
+from math import lcm, prod
 
 from .algebra import (
     ZERO,
@@ -105,47 +105,64 @@ def _differences(table, degree):
 
     `table` maps lattice offsets alpha to the samples f(alpha); the offsets
     must form a lower set (with alpha, every alpha - e_k with alpha_k > 0).
-    The table is overwritten, one axis at a time, by the forward differences
-    Delta^alpha f(0), taken on Fraction columns: the scalars and each atom's
-    coefficients.  On a lower set the samples agree with a polynomial of
-    total degree <= degree exactly when every higher difference vanishes,
-    so that is the consistency check.  Returns {alpha: Delta^alpha f(0)}
-    for |alpha| <= degree; the interpolant is their sum against
-    prod_k binomial(x_k, alpha_k).
+    The forward differences Delta^alpha f(0) are taken one axis at a time
+    on integer columns, the scalars and each atom's coefficients, each as
+    numerators over the lcm of its denominators; the table is left as it
+    is.  On a lower set the samples agree with a polynomial of total
+    degree <= degree exactly when every higher difference vanishes, so
+    that is the consistency check, made on the integers.  Returns
+    {alpha: Delta^alpha f(0)} for |alpha| <= degree; the interpolant is
+    their sum against prod_k binomial(x_k, alpha_k).
     """
-    nvars = len(next(iter(table)))
-    for a in table:
+    keys = list(table)
+    pos = {a: i for i, a in enumerate(keys)}
+    nvars = len(keys[0])
+    # steps[k]: (level on axis k, position, position one step down)
+    steps = [[] for _ in range(nvars)]
+    for i, a in enumerate(keys):
         for k in range(nvars):
-            if a[k] and _step_down(a, k) not in table:
-                raise ValueError(
-                    f"samples off the lattice: offset {a} without {_step_down(a, k)}"
-                )
+            if a[k]:
+                b = _step_down(a, k)
+                if b not in pos:
+                    raise ValueError(f"samples off the lattice: offset {a} without {b}")
+                steps[k].append((a[k], i, pos[b]))
     for a in compositions(degree, nvars):
-        if a not in table:
+        if a not in pos:
             raise UnderdeterminedSystemError(
                 f"no sample at offset {a} for an interpolant of degree {degree}"
             )
-    names = dict.fromkeys(n for v in table.values() for n in v.atoms)
-    atoms = {n: {a: v.atoms.get(n, 0) for a, v in table.items()} for n in names}
-    columns = [{a: v.scalar for a, v in table.items()}, *atoms.values()]
-    for k in range(nvars):
-        order = sorted(table, key=lambda a: a[k], reverse=True)
-        for r in range(1, order[0][k] + 1):
-            for a in order:
-                if a[k] < r:
+    values = table.values()
+    names = list(dict.fromkeys(n for v in values for n in v.atoms))
+    columns, dens = [], []
+    for col in [[v.scalar for v in values]] + [
+        [v.atoms.get(n, 0) for v in values] for n in names
+    ]:
+        ratios = [x.as_integer_ratio() for x in col]
+        den = lcm(*[q for _, q in ratios])
+        columns.append([p * (den // q) for p, q in ratios])
+        dens.append(den)
+    for down in steps:
+        down.sort(reverse=True)  # highest level first
+        for r in range(1, down[0][0] + 1 if down else 0):
+            for level, i, j in down:
+                if level < r:
                     break
-                b = _step_down(a, k)
                 for col in columns:
-                    col[a] -= col[b]
-    for a in table:
-        table[a] = SymRat._make(columns[0][a], {n: c[a] for n, c in atoms.items()})
+                    col[i] -= col[j]
+
+    def value(i):
+        return SymRat._make(Fraction(columns[0][i], dens[0]), {
+            n: Fraction(col[i], d)
+            for n, col, d in zip(names, columns[1:], dens[1:]) if col[i]
+        })
+
     newton = {}
-    for a, d in table.items():
+    for i, a in enumerate(keys):
         if sum(a) <= degree:
-            newton[a] = d
-        elif d:
+            newton[a] = value(i)
+        elif any(col[i] for col in columns):
             raise InconsistentSamplesError(
-                f"difference at offset {a} is {d!r}, beyond degree {degree}"
+                f"difference at offset {a} is {value(i)!r}, beyond degree {degree}"
             )
     return newton
 
@@ -165,7 +182,7 @@ def quasi_fit(samples, N, nvars, degree_bound) -> QuasiPoly:
     mod = N + 1
     groups: dict = {}
     for point, value in samples:
-        point = tuple(int(x) for x in point)
+        point = tuple(map(exact_int, point))
         if len(point) != nvars:
             raise ValueError("sample arity mismatch")
         group = groups.setdefault(tuple(x % mod for x in point), {})
@@ -478,7 +495,7 @@ def asymptotics_report(
     the deviation from 1 is reported and compared to the bound exactly.
     ValueError when (g, n) is unstable, so that there is no top form, or
     when no point of the ray up to m_max is admissible."""
-    ray = tuple(int(r) for r in ray)
+    ray = tuple(map(exact_int, ray))
     if len(ray) != n or any(r <= 0 for r in ray):
         raise ValueError("ray must have positive entries")
     if 2 * g - 2 + n <= 0:

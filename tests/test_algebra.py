@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given
@@ -199,6 +199,58 @@ class TestMultiPoly:
                 SymRat(0),
             )
             assert p.eval(pt) == want
+
+    @given(
+        st.integers(1, 4),
+        st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+        st.data(),
+    )
+    def test_from_newton_is_the_binomial_sum_anywhere(self, step, base, data):
+        # The expansion against the binomial sum at every point of a grid
+        # wide enough to fix the polynomial, off the lattice base + step Z^n
+        # as well as on it, for any step and for negative bases.
+        nvars = len(base)
+        degree = data.draw(st.integers(0, 3))
+        coeff = st.one_of(
+            st.fractions(max_denominator=50),
+            st.builds(SymRat.atom, st.sampled_from("AB"), st.fractions(max_denominator=50)),
+        )
+        newton = {
+            a: data.draw(coeff) for d in range(degree + 1) for a in compositions(d, nvars)
+        }
+        p = MultiPoly.from_newton(newton, tuple(base), step)
+        for pt in product(range(-2, degree), repeat=nvars):
+            want = sum(
+                (c * prod(comb_signed(Fraction(x - b, step), ak)
+                          for x, b, ak in zip(pt, base, a))
+                 for a, c in newton.items()),
+                SymRat(0),
+            )
+            assert p.eval(pt) == want
+        assert all(type(c) is SymRat and c for c in p.terms.values())
+
+    @given(
+        st.lists(st.integers(-30, 30), min_size=1, max_size=3).flatmap(
+            lambda pt: st.tuples(
+                st.just(tuple(pt)),
+                st.dictionaries(
+                    st.tuples(*[st.integers(0, 4)] * len(pt)),
+                    st.one_of(
+                        st.fractions(),
+                        st.builds(SymRat, st.fractions(), st.dictionaries(
+                            st.sampled_from("AB"), st.fractions(), max_size=2)),
+                    ),
+                    max_size=6,
+                ),
+            )
+        )
+    )
+    def test_eval_at_ints_equals_eval_at_fractions(self, case):
+        pt, terms = case
+        p = MultiPoly(len(pt), terms)
+        got = p.eval(pt)
+        assert type(got) is SymRat
+        assert got == p.eval(tuple(map(Fraction, pt)))
 
     def test_from_newton_drops_zero_coefficients(self):
         assert MultiPoly.from_newton({(0,): 0, (2,): 0}, (1,), 1).terms == {}

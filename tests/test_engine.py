@@ -423,6 +423,15 @@ class TestTrr0Expand:
         with pytest.raises(ValueError):
             E.trr0_expand(1, 0, [(0, 1), (2, 1), (0, 1)], 0)
 
+    def test_non_integral_insertion_is_rejected(self):
+        # 2.7 would otherwise be read as a level-2 pivot
+        with pytest.raises(ValueError, match="2.7"):
+            E.trr0_expand(1, 0, [(0, 1), (0, 1), (2.7, 1)], 2)
+        ins = [(0, 1), (0, 1), (2, 1)]
+        assert E.trr0_expand(1, 0, [(0, Fraction(1)), *ins[1:]], 2) == E.trr0_expand(
+            1, 0, ins, 2
+        )
+
     def test_dimension_filter_omits_splittings(self):
         ins = tuple(sorted([(2, 1), (0, 1), (0, 1), (2, 1)]))
         piv = max(range(4), key=lambda i: ins[i][0])
@@ -454,6 +463,15 @@ class TestBetaBracket:
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
             E.beta_bracket(1, 0, (1, 1), (), -1)
+
+    def test_non_integral_entry_is_rejected(self):
+        # each of these would otherwise be truncated to an int
+        for args in [(0.5, (1, 1), ()), (0, (1.5, 1), ()), (0, (1, 1), ((0, 1.2),))]:
+            with pytest.raises(ValueError, match="non-integral"):
+                E.beta_bracket(1, *args, 1)
+        assert E.beta_bracket(1, Fraction(0), (Fraction(1), 1), (), 1) == E.beta_bracket(
+            1, 0, (1, 1), (), 1
+        )
 
     def test_depth_one_chain_is_the_two_point_term(self):
         # at beta = 3g-2 the depth-one chain of the bracket is the plain
@@ -488,6 +506,12 @@ class TestTrrgExpand:
     def test_threshold_error(self):
         with pytest.raises(ValueError):
             E.trrg_expand(1, 2, [(4, 1)], 0)
+
+    def test_non_integral_insertion_is_rejected(self):
+        # 4.5 would otherwise be read as a level-4 pivot
+        with pytest.raises(ValueError, match="4.5"):
+            E.trrg_expand(1, 1, [(4.5, 1)], 0)
+        assert E.trrg_expand(1, 1, [(Fraction(4), 1)], 0) == E.trrg_expand(1, 1, [(4, 1)], 0)
 
     @pytest.mark.parametrize("N", [1, 2])
     def test_genus2_terms_against_every_class(self, N):

@@ -384,6 +384,17 @@ class TestChecksReportFailures:
         assert rep.status == "fail"
         assert rep.witness["part"] == "string" and rep.witness["diff"]
 
+    def test_pole_check_rereads_the_differential(self):
+        # The expected coefficients are kept per (g, n) and the differential
+        # is not: a passing check, then a tamper on the same curve, fails.
+        curve = SpectralCurve()
+        assert pole_asymptotics_check(0, 3, curve).status == "pass"
+        curve.omega(0, 3).coeffs[((-1, 2), (-1, 2), (-1, 2))] += 1
+        rep = pole_asymptotics_check(0, 3, curve)
+        assert rep.witness == {
+            "alpha": -1, "beta": (0, 0, 0), "got": Fraction(3, 2), "expected": Fraction(1, 2),
+        }
+
     def test_pole_leading_coefficient(self):
         curve = SpectralCurve()
         curve.omega(0, 3).coeffs[((1, 2), (1, 2), (1, 2))] += 1

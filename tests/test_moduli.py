@@ -92,6 +92,13 @@ class TestPsiIntersection:
                 ) * psi_intersection(g, beta)
 
 
+    def test_non_integral_exponent_is_rejected(self):
+        # 0.7 would otherwise be read as 0, giving <tau_0^3>_0 = 1
+        with pytest.raises(ValueError, match="0.7"):
+            psi_intersection(0, [0.7, 0, 0])
+        assert psi_intersection(1, [Fraction(1)]) == Fraction(1, 24)
+
+
 class TestPointInvariant:
     def test_dimension_zero_cases(self):
         assert point_invariant(0, (1, 1, 1), 0) == 0
@@ -103,6 +110,13 @@ class TestPointInvariant:
     def test_unstable(self):
         with pytest.raises(UnstableKeyError):
             point_invariant(0, (0, 0), 0)
+
+    def test_non_integral_level_is_rejected(self):
+        # 1.5 would otherwise be read as 1
+        for route in (point_invariant, point_invariant_closed, point_invariant_string):
+            with pytest.raises(ValueError, match="1.5"):
+                route(0, [1.5, 0, 0, 0], 0)
+        assert point_invariant(1, (Fraction(2),), 1) == Fraction(1, 24)
 
     @pytest.mark.parametrize("g", [0, 1, 2])
     def test_routes_agree(self, g):

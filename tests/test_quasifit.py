@@ -6,6 +6,8 @@ from itertools import combinations_with_replacement, product
 from math import comb, prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gwrec.algebra import MultiPoly, QuasiPoly, SymRat, binomial, c_factor, compositions
 from gwrec.engine import DEFAULT_ENGINE as E
@@ -93,6 +95,13 @@ class TestQuasiFit:
         with pytest.raises(ValueError, match="off the lattice"):
             quasi_fit(pts, 1, 2, 1)
 
+    def test_non_integral_sample_point_is_rejected(self):
+        # 0.5 would otherwise be read as 0 and fitted there
+        with pytest.raises(ValueError, match="0.5"):
+            quasi_fit([((0.5,), 1), ((2,), 1)], 1, 1, 0)
+        got = quasi_fit([((Fraction(0),), 1), ((Fraction(2),), 1)], 1, 1, 0)
+        assert got.branches == quasi_fit([((0,), 1), ((2,), 1)], 1, 1, 0).branches
+
     def test_two_samples_at_one_point(self):
         pts = [((0,), SymRat(1)), ((2,), SymRat(2)), ((2,), SymRat(3))]
         with pytest.raises(InconsistentSamplesError):
@@ -167,6 +176,84 @@ class TestDifferences:
         table[(3,)] = SymRat(3, {"x": 1})
         with pytest.raises(InconsistentSamplesError):
             _differences(table, 1)
+
+
+# Pairwise coprime denominators above 2^200, so that a column's common
+# denominator runs to hundreds of digits.
+HUGE_DENOMINATORS = [3**127, 5**87, 7**72, 11**58]
+
+
+def _lower_set(nvars, degree, tops):
+    """The simplex of total degree <= degree + 1 with the boxes below
+    `tops`: a lower set of the lattice holding every surplus node."""
+    pts = {a for d in range(degree + 2) for a in compositions(d, nvars)}
+    for top in tops:
+        pts |= set(product(*(range(t + 1) for t in top)))
+    return sorted(pts)
+
+
+@st.composite
+def _polynomial_tables(draw):
+    """(table, degree): the samples on a random lower set of a polynomial
+    of total degree <= degree, with or without atoms, whose coefficients'
+    denominators are small or huge."""
+    nvars = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 3))
+    tops = draw(st.lists(st.tuples(*[st.integers(0, 4)] * nvars), max_size=3))
+    names = draw(st.sampled_from([[], ["a"], ["a", "b"]]))
+    rat = st.builds(
+        Fraction,
+        st.integers(-(2**70), 2**70),
+        st.sampled_from([1, 2, 3, 24, *HUGE_DENOMINATORS]),
+    )
+    coeffs = {
+        a: SymRat(draw(rat), {n: draw(rat) for n in names})
+        for d in range(degree + 1)
+        for a in compositions(d, nvars)
+    }
+    table = {
+        x: sum(
+            (c * prod(binomial(xi, ai) for xi, ai in zip(x, a)) for a, c in coeffs.items()),
+            SymRat(0),
+        )
+        for x in _lower_set(nvars, degree, tops)
+    }
+    return table, degree
+
+
+class TestIntegerDifferences:
+    @given(_polynomial_tables(), st.data())
+    def test_matches_one_symrat_at_a_time(self, td, data):
+        table, degree = td
+        if data.draw(st.booleans()):
+            # Perturb a few nodes: the check must fail exactly when the
+            # reference's does, at the same offset.
+            for x in data.draw(st.lists(st.sampled_from(sorted(table)), max_size=3)):
+                table[x] = table[x] + SymRat(data.draw(st.fractions(max_denominator=9)))
+        try:
+            want = _ref_differences(table, degree)
+        except InconsistentSamplesError as exc:
+            with pytest.raises(InconsistentSamplesError) as got:
+                _differences(dict(table), degree)
+            assert f"offset {exc.args[0]} " in str(got.value)
+            return
+        before = dict(table)
+        got = _differences(table, degree)
+        assert table == before
+        assert got == want
+        assert all(type(v) is SymRat and all(v.atoms.values()) for v in got.values())
+
+    @given(_polynomial_tables(), st.data())
+    def test_one_node_off_by_one_over_a_huge_q(self, td, data):
+        table, degree = td
+        x = data.draw(st.sampled_from(sorted(table)))
+        q = data.draw(st.sampled_from(HUGE_DENOMINATORS)) + 1
+        assert _differences(dict(table), degree)
+        for bump in (SymRat(Fraction(1, q)), SymRat.atom("a", Fraction(1, q))):
+            off = dict(table)
+            off[x] = off[x] + bump
+            with pytest.raises(InconsistentSamplesError, match="beyond degree"):
+                _differences(off, degree)
 
 
 class TestFitStationary:
@@ -414,6 +501,13 @@ class TestVerifiers:
     def test_asymptotics_rejects_degenerate_ray(self):
         with pytest.raises(ValueError):
             asymptotics_report(1, 0, 2, (1, 0), 40)
+
+    def test_asymptotics_rejects_non_integral_ray(self):
+        # 1.9 would otherwise be read as 1 and the claim made for (1, 1, 1, 1)
+        with pytest.raises(ValueError, match="1.9"):
+            asymptotics_report(1, 0, 4, (1.9, 1, 1, 1), 20, bound=1)
+        rep = asymptotics_report(1, 1, 1, (Fraction(2),), 80, atom_values=ATOMS)
+        assert rep.witness["m"] == (80,)
 
     def test_genus0_four_point_ratio_tends_to_one(self):
         rep = asymptotics_report(1, 0, 4, (1, 1, 1, 1), 60, bound=Fraction(1, 10))
