@@ -456,7 +456,7 @@ class QuasiPoly:
                 self.branches[r] = p
 
     def residue(self, point):
-        return tuple(int(x) % (self.N + 1) for x in point)
+        return tuple(exact_int(x) % (self.N + 1) for x in point)
 
     def eval(self, point) -> SymRat:
         if len(point) != self.nvars:
@@ -712,14 +712,6 @@ class LaurentSeries:
         return self._make(
             self.var, self.center, self.min_exp + 1, out, self.den * f, self.trunc + 1
         )
-
-    def eval_at(self, x0) -> Fraction:
-        """Evaluate the known part at a rational point (truncation tail dropped)."""
-        x0 = Fraction(x0)
-        out = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            out += c * x0 ** (self.min_exp + i)
-        return out
 
     def __repr__(self):
         bits = [

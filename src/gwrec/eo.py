@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .algebra import LaurentSeries, SymRat, bipartitions, compositions, dot, format_rat
 from .engine import DEFAULT_ENGINE, Engine
@@ -295,37 +295,20 @@ def eo_invariant(g, n, curve: SpectralCurve | None = None) -> PoleBasisDifferent
 # expansion at infinity and the generating-function comparison
 
 
-def _catalan(k):
-    return factorial(2 * k) // (factorial(k) * factorial(k + 1))
+def _row(alpha, k, depth) -> list:
+    """[u^e] z'(x)/(z - alpha)^k for e = 0..depth, with u = 1/x.
 
-
-def _w_series(depth) -> LaurentSeries:
-    """w = 1/z on the z ~ x branch, as a series in u = 1/x."""
-    coeffs = [Fraction(0)] * depth
-    k = 0
-    while 2 * k + 1 < depth:
-        coeffs[2 * k + 1] = Fraction(_catalan(k))
-        k += 1
-    return LaurentSeries("u", "inf", 0, coeffs, depth)
-
-
-def _zp_series(w) -> LaurentSeries:
-    """dz/dx = 1/(1 - w^2)."""
-    return (1 - w * w).invert()
-
-
-def _basis_series(alpha, k, w, zp) -> LaurentSeries:
-    """Expansion of z'(x)/(z - alpha)^k in u = 1/x."""
-    unit = 1 - alpha * w
-    inv = unit.invert()
-    acc = zp
-    wk = w
-    for _ in range(k - 1):
-        wk = wk * w
-    acc = acc * wk
-    for _ in range(k):
-        acc = acc * inv
-    return acc
+    On the branch z ~ x, w = 1/z solves w = u (1 + w^2), and
+    z'(x)/(z - alpha)^k = w^k (1 - alpha w)^-k / (1 - w^2).  Lagrange
+    inversion reads its u^e coefficient as [w^(e-k)] (1 + w^2)^(e-1)
+    (1 - alpha w)^-k, a finite sum of integer binomials."""
+    return [
+        sum(
+            comb(e - 1, i) * alpha ** (e - k - 2 * i) * comb(e - 2 * i - 1, k - 1)
+            for i in range((e - k) // 2 + 1)
+        )
+        for e in range(depth + 1)
+    ]
 
 
 def expand_at_infinity(pd: PoleBasisDifferential, depth: int) -> InfinitySeries:
@@ -334,40 +317,40 @@ def expand_at_infinity(pd: PoleBasisDifferential, depth: int) -> InfinitySeries:
     if depth < 2 * pd.n:
         raise ValueError("depth too small to hold any coefficient")
     per_var = depth - 2 * (pd.n - 1)
-    w = _w_series(per_var + 1)
-    zp = _zp_series(w)
-    cache = {}
+    rows = {}  # (alpha, k) -> row
     out: dict = {}
     for assign, c in pd.coeffs.items():
-        rows = []
-        for a, k in assign:
-            if (a, k) not in cache:
-                cache[(a, k)] = _basis_series(a, k, w, zp)
-            rows.append(cache[(a, k)])
-        _tensor_accumulate(out, rows, c, depth)
+        for ak in assign:
+            if ak not in rows:
+                rows[ak] = _row(*ak, per_var)
+        _tensor_accumulate(out, [rows[ak] for ak in assign], c, depth)
     return InfinitySeries(pd.n, depth, out)
 
 
+def _tensor_add(store, key, c):
+    if c:
+        store[key] = store.get(key, Fraction(0)) + c
+        if store[key] == 0:
+            del store[key]
+
+
 def _tensor_accumulate(out, rows, c, depth):
+    """Add c times the tensor product of the int rows (row i holds the
+    coefficients of u_i^e, zero below e = 2) into out, over the exponent
+    tuples of total at most depth; zero entries are skipped."""
     n = len(rows)
 
     def rec(i, exps, total, acc):
         if i == n:
-            key = tuple(exps)
-            out[key] = out.get(key, Fraction(0)) + acc
-            if out[key] == 0:
-                del out[key]
+            _tensor_add(out, exps, acc)
             return
-        row = rows[i]
-        lo = max(row.min_exp, 0)
-        for e in range(lo, min(row.trunc, depth - total + 1)):
-            v = row.coefficient(e)
-            remaining_min = 2 * (n - i - 1)
-            if total + e + remaining_min > depth:
-                break
-            rec(i + 1, exps + [e], total + e, acc * v)
+        # every later row starts at u^2
+        room = depth - total - 2 * (n - i - 1)
+        for e, v in enumerate(rows[i][: room + 1]):
+            if v:
+                rec(i + 1, exps + (e,), total + e, acc * v)
 
-    rec(0, [], 0, c)
+    rec(0, (), 0, c)
 
 
 def gw_generating(g, n, depth, engine: Engine = DEFAULT_ENGINE) -> dict:
@@ -400,8 +383,7 @@ def compare_eo_gw(
     claim = f"eo-gw ({g},{n}) depth {depth}"
     atom_values = atom_values or {}
     if (g, n) == (0, 1):
-        eo_series = _corrected_01(depth)
-        eo = {(e,): eo_series.coefficient(e) for e in range(2, depth + 1)}
+        eo = _corrected_01(depth)
     elif (g, n) == (0, 2):
         eo = _corrected_02(depth)
     else:
@@ -435,31 +417,28 @@ def compare_eo_gw(
     return VerificationReport(claim, status, witness)
 
 
-def _corrected_01(depth) -> LaurentSeries:
-    """omega^0_1 + ln(x) dx expanded at infinity: ln(x/z) = ln(1 + w^2)."""
-    w = _w_series(depth + 1)
-    v = w * w
-    out = LaurentSeries.zero("u", "inf", depth + 1)
-    term = LaurentSeries.const("u", "inf", 1, depth + 1)
-    j = 1
-    while 2 * j <= depth:
-        term = term * v
-        out = out + term * Fraction((-1) ** (j - 1), j)
-        j += 1
-    return out
+def _corrected_01(depth) -> dict:
+    """omega^0_1 + ln(x) dx expanded at infinity: ln(x/z) = ln(1 + w^2),
+    whose u^e coefficient is (2/e) C(e-1, e/2 - 1) for even e and 0 for odd
+    e, by Lagrange inversion; one entry for every e in 2..depth."""
+    return {
+        (e,): Fraction(2 * comb(e - 1, e // 2 - 1), e) if e % 2 == 0 else Fraction(0)
+        for e in range(2, depth + 1)
+    }
 
 
 def _corrected_02(depth) -> dict:
     """omega^0_2 minus the Cauchy kernel in x.  On this curve the
     difference collapses to dz1 dz2 / (z1 z2 - 1)^2, which expands through
-    powers of w1 w2."""
-    w = _w_series(depth - 1)
-    zp = _zp_series(w)
+    powers of w1 w2: (r + 1) (w1 w2)^(r+2) z'(x1) z'(x2) for r >= 0, where
+    [u^e] w^(r+2) z'(x) = C(e-1, (e-2-r)/2) for e >= r + 2, e = r mod 2;
+    the term r starts at total degree 2r + 4 <= depth."""
     out: dict = {}
-    wk = w
-    for r in range(depth - 3):
-        wk = wk * w  # w^(r+2)
-        row = wk * zp
+    for r in range(depth // 2 - 1):
+        row = [
+            comb(e - 1, (e - 2 - r) // 2) if e >= r + 2 and (e - r) % 2 == 0 else 0
+            for e in range(depth + 1)
+        ]
         _tensor_accumulate(out, [row, row], r + 1, depth)
     return out
 
@@ -514,13 +493,6 @@ def _rep_deriv(rep):
         nk = ("p", a, j + 1)
         out[nk] = out.get(nk, Fraction(0)) - c * j
     return {k: v for k, v in out.items() if v}
-
-
-def _tensor_add(store, key, c):
-    if c:
-        store[key] = store.get(key, Fraction(0)) + c
-        if store[key] == 0:
-            del store[key]
 
 
 def eo_string_dilaton_check(

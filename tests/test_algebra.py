@@ -169,6 +169,13 @@ class TestQuasiPoly:
         q = self._two_point_like()
         assert q.eval((-2, 0)) == 0 + 0 + 2 - 2
 
+    def test_non_integral_point_has_no_coset(self):
+        # 1.5 lies in no coset of 2Z; an integral Fraction is its integer
+        q = QuasiPoly(1, 1, {(1,): MultiPoly(1, {(1,): 1})})
+        with pytest.raises(ValueError, match="1.5"):
+            q.eval((1.5,))
+        assert q.eval((Fraction(6, 2),)) == 3
+
     def test_serialisation_round_trip(self):
         q = self._two_point_like()
         q2 = QuasiPoly.from_obj(q.to_obj())

@@ -5,14 +5,16 @@ from math import comb, factorial
 
 import pytest
 
-from gwrec.algebra import LaurentSeries
+from gwrec.algebra import LaurentSeries, format_rat
 from gwrec.engine import DEFAULT_ENGINE as E
 from gwrec.engine import Engine
 from gwrec.eo import (
     PoleBasisDifferential,
     SpectralCurve,
+    _corrected_01,
+    _corrected_02,
     _pole_bound,
-    _w_series,
+    _row,
     compare_eo_gw,
     eo_invariant,
     eo_string_dilaton_check,
@@ -188,12 +190,21 @@ class TestLinearLoopEquation:
 
 class TestExpansion:
     def test_branch_solution_satisfies_the_curve(self):
-        w = _w_series(16)
-        # w + 1/w - 1/u should vanish to the tracked order at u = 1/10
-        z = w.invert()
-        x = LaurentSeries("u", "inf", -1, [1], 16)
-        err = (z + w - x).eval_at(Fraction(1, 10))
-        assert abs(err) <= Fraction(1, 10) ** 13
+        # d/dx (z - alpha)^-1 = -z'/(z - alpha)^2 and d/dx = -u^2 d/du, so
+        # F = 1/(z - alpha) has [u^(e-1)] F = row[e] / (e - 1).  With
+        # z = alpha + 1/F, z^2 - x z + 1 = 0 reads
+        # u (1 + 2 alpha F + 2 F^2) = F + alpha F^2 at alpha^2 = 1.
+        depth = 16
+        u = LaurentSeries("u", "inf", 1, [1], depth)
+        for alpha in (1, -1):
+            row = _row(alpha, 2, depth)
+            assert row[:2] == [0, 0]
+            F = LaurentSeries(
+                "u", "inf", 0, [0] + [Fraction(row[e], e - 1) for e in range(2, depth + 1)],
+                depth,
+            )
+            err = u * (1 + 2 * alpha * F + 2 * F * F) - F - alpha * F * F
+            assert err.trunc == depth and err.is_zero(), alpha
 
     def test_basis_element_head(self):
         pd = eo_invariant(0, 3)
@@ -202,18 +213,113 @@ class TestExpansion:
         assert es.coefficient((2, 2, 2)) == 1
 
     def test_linearity_against_rational_point(self):
-        # expansion of dz/(z-1)^2 evaluated at x0 = 10 matches the exact
-        # rational value within the truncation tail
-        from gwrec.eo import _basis_series, _zp_series
-
-        depth = 24
-        w = _w_series(depth)
-        series = _basis_series(1, 2, w, _zp_series(w))
+        # the row of dz/(z-1)^2 summed at u = 1/x0, x0 = 10, matches the
+        # exact value z'/(z-1)^2 at the branch point z0 of z + 1/z = x0
+        # within the truncation tail
         x0 = Fraction(10)
-        approx = series.eval_at(1 / x0)
-        z0 = w.invert().eval_at(1 / x0)  # branch value, itself truncated
+        z0 = x0
+        for _ in range(5):  # Newton steps on z + 1/z - x0
+            z0 -= (z0 + 1 / z0 - x0) / (1 - z0 ** -2)
+        assert abs(z0 + 1 / z0 - x0) <= Fraction(1, 10**40)
+        approx = sum(c / x0 ** e for e, c in enumerate(_row(1, 2, 24)))
         exact = (1 / (1 - z0 ** -2)) / (z0 - 1) ** 2
         assert abs(approx - exact) <= Fraction(1, 10**15)
+
+
+def _branch_series(depth) -> LaurentSeries:
+    """w = 1/z on the z ~ x branch, as a series in u = 1/x through u^depth:
+    the fixed point of w <- u (1 + w w), which fixes one more coefficient
+    on every pass."""
+    u = LaurentSeries("u", "inf", 1, [1], depth + 1)
+    w = u
+    while True:
+        nxt = u * (1 + w * w)
+        if nxt.coeffs == w.coeffs and nxt.min_exp == w.min_exp:
+            return w
+        w = nxt
+
+
+def _head(series, depth) -> list:
+    return [series.coefficient(e) for e in range(depth + 1)]
+
+
+class TestRowsAgainstSeries:
+    """The integer rows from Lagrange inversion against the same expansions
+    built by series arithmetic on the branch w(u)."""
+
+    DEPTH = 30
+
+    @pytest.fixture(scope="class")
+    def w(self):
+        return _branch_series(self.DEPTH)
+
+    @pytest.fixture(scope="class")
+    def zp(self, w):
+        return (1 - w * w).invert()  # z'(x) = 1 / (1 - w^2)
+
+    def test_branch_is_catalan(self, w):
+        assert _head(w, self.DEPTH) == [
+            comb(e - 1, e // 2) // (e // 2 + 1) if e % 2 else 0 for e in range(self.DEPTH + 1)
+        ]
+
+    @pytest.mark.parametrize("alpha", [1, -1])
+    @pytest.mark.parametrize("k", range(2, 15))
+    def test_row(self, w, zp, alpha, k):
+        inv = (1 - alpha * w).invert()
+        series = zp
+        for _ in range(k):
+            series = series * w * inv
+        assert _row(alpha, k, self.DEPTH) == _head(series, self.DEPTH)
+
+    def test_corrected_01(self, w):
+        v = w * w
+        log = LaurentSeries.zero("u", "inf", v.trunc)
+        term = LaurentSeries.const("u", "inf", 1, v.trunc)
+        for j in range(1, self.DEPTH // 2 + 1):
+            term = term * v
+            log = log + term * Fraction((-1) ** (j - 1), j)
+        want = {(e,): log.coefficient(e) for e in range(2, self.DEPTH + 1)}
+        got = _corrected_01(self.DEPTH)
+        assert got == want and list(got) == list(want)
+        assert all(type(c) is Fraction for c in got.values())
+
+    def test_corrected_02(self, w, zp):
+        want: dict = {}
+        wr = w * w
+        for r in range(self.DEPTH):
+            row = _head(wr * zp, self.DEPTH)
+            for e1 in range(self.DEPTH + 1):
+                for e2 in range(self.DEPTH + 1 - e1):
+                    want[(e1, e2)] = want.get((e1, e2), 0) + (r + 1) * row[e1] * row[e2]
+            wr = wr * w
+        got = _corrected_02(self.DEPTH)
+        assert got == {key: c for key, c in want.items() if c}
+        assert all(type(c) is Fraction for c in got.values())
+
+
+# sha256 of json.dumps(sorted((list(exps), format_rat(c)))) over the
+# coefficients of expand_at_infinity(omega(g, n), depth), computed with the
+# branch z(x) reverted as a truncated Laurent series and each basis element
+# built from series products.
+GOLDEN_EXPANSION = {
+    (0, 3, 12): "d897cdd20668999560159b08304b59fb546d0257d067fb1f669e53d076f6ad04",
+    (0, 4, 12): "ba3d26410f2df5ac07c862fe4ce10cbca9dbada4000fbf7036832de59cafeebe",
+    (1, 1, 12): "4c08062902d74cceab0c057f7f19a5ca8fbb734d7009029fbe5ee8b8316ee2ed",
+    (1, 2, 10): "13486a3b0dd5b6122c7e9134e871c2cc66aba47341da82c149c9e6433bc2f316",
+    (2, 1, 16): "591771ae3e4a13d69a397eb5820e24ba3bff4828e9215b4a09e513be59237f74",
+    (2, 2, 12): "940a0e75bc8dc204df58ddbac53384937b9cf6744dee01ea269a9463c97cfaa8",
+    (2, 3, 10): "a61bea71103ffe586af9c97cc825549538849597b01764d7f8e5d3981e7b853d",
+    (3, 1, 22): "c8d4c059991810e6f8b5ecc5a25e716ef979b8354041a537f377245ff6e53c44",
+    (0, 5, 14): "00923d15e503885f15037a0edb159f925410b2b7b237f8bbf9d083c1c059532e",
+}
+
+
+@pytest.mark.parametrize("g,n,depth", sorted(GOLDEN_EXPANSION))
+def test_expansion_golden_digest(g, n, depth):
+    es = expand_at_infinity(eo_invariant(g, n), depth)
+    assert all(type(c) is Fraction for c in es.coeffs.values())
+    record = json.dumps(sorted((list(e), format_rat(c)) for e, c in es.coeffs.items()))
+    assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN_EXPANSION[(g, n, depth)]
 
 
 class TestGenerating:
