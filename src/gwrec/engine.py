@@ -497,7 +497,8 @@ class Engine:
         """Genus-0 primary invariants from associativity of the quantum
         product, seeded by the triple intersections at degree zero and the
         two-point count <pt, pt>_1 = 1."""
-        exps = tuple(sorted(int(a) for a in class_exponents))
+        N = exact_int(N)
+        exps = tuple(sorted(map(exact_int, class_exponents)))
         if any(not 0 <= a <= N for a in exps):
             raise ValueError("class exponent out of range")
         memo_key = (N, exps)

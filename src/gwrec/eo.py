@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .algebra import LaurentSeries, SymRat, bipartitions, compositions, dot, format_rat
+from .algebra import LaurentSeries, SymRat, bipartitions, compositions, dot, exact_int, format_rat
 from .engine import DEFAULT_ENGINE, Engine
 from .moduli import psi_intersection
 from .quasifit import VerificationReport
@@ -155,7 +155,7 @@ class _Chart:
 
 class SpectralCurve:
     """The curve x = z + 1/z, y = ln z, with memos of its invariants and of
-    its local charts."""
+    one local chart per branch point."""
 
     def __init__(self):
         self._omegas: dict = {}
@@ -167,12 +167,15 @@ class SpectralCurve:
         return cls()
 
     def chart(self, alpha, T) -> _Chart:
-        key = (alpha, T)
-        if key not in self._charts:
-            self._charts[key] = _Chart(alpha, T)
-        return self._charts[key]
+        """The chart at alpha, rebuilt to truncation T when it is shorter:
+        residues are exact, so a longer chart gives the same entries."""
+        ch = self._charts.get(alpha)
+        if ch is None or ch.T < T:
+            ch = self._charts[alpha] = _Chart(alpha, T)
+        return ch
 
     def omega(self, g, n) -> PoleBasisDifferential:
+        g, n = exact_int(g), exact_int(n)
         if g < 0 or n < 1 or 2 * g - 2 + n <= 0:
             raise ValueError(f"(g, n) = ({g}, {n}) is not in the stable range")
         key = (g, n)
@@ -314,6 +317,7 @@ def _row(alpha, k, depth) -> list:
 def expand_at_infinity(pd: PoleBasisDifferential, depth: int) -> InfinitySeries:
     """Substitute the x = infinity branch of z(x) into every basis element
     and collect the exact expansion in the 1/x_i."""
+    depth = exact_int(depth)
     if depth < 2 * pd.n:
         raise ValueError("depth too small to hold any coefficient")
     per_var = depth - 2 * (pd.n - 1)
@@ -356,6 +360,7 @@ def _tensor_accumulate(out, rows, c, depth):
 def gw_generating(g, n, depth, engine: Engine = DEFAULT_ENGINE) -> dict:
     """Slot values <prod tau_{m_i}(pt)>^g of the projective line times
     prod (m_i + 1)!, for all slots with sum(m_i + 2) <= depth."""
+    g, n, depth = map(exact_int, (g, n, depth))
     out = {}
     for total in range(depth - 2 * n + 1):
         for ms in compositions(total, n):
@@ -378,6 +383,7 @@ def compare_eo_gw(
     """Slot-by-slot comparison of the expanded invariants against the
     stationary generating function of the projective line.  Genus <= 1 is a
     hard assertion; genus 2 and above is exploratory."""
+    g, n, depth = map(exact_int, (g, n, depth))
     if depth < 2 * n:
         raise ValueError("depth too small to hold any coefficient")
     claim = f"eo-gw ({g},{n}) depth {depth}"
@@ -462,37 +468,50 @@ def _rep_mul_pole(rep, a, k):
     """Multiply a decomposition from `_xm_over_xp` by (z - a)^{-k}, k >= 2
     (the invariants have no first-order poles): its terms are z^0, z^1 and
     simple poles."""
-    out = {}
-
-    def put(key, c):
-        if c:
-            out[key] = out.get(key, Fraction(0)) + c
-
+    out: dict = {}
     for key, c in rep.items():
         if key == ("m", 0):
-            put(("p", a, k), c)
+            _tensor_add(out, ("p", a, k), c)
         elif key == ("m", 1):
             # z = (z - a) + a
-            put(("p", a, k - 1), c)
-            put(("p", a, k), c * a)
+            _tensor_add(out, ("p", a, k - 1), c)
+            _tensor_add(out, ("p", a, k), c * a)
         else:
             b = key[1]
             if b == a:
-                put(("p", a, k + 1), c)
+                _tensor_add(out, ("p", a, k + 1), c)
             else:
                 for r in range(k):
-                    put(("p", a, k - r), c * Fraction((-1) ** r, (a - b) ** (r + 1)))
-                put(("p", b, 1), c * Fraction((-1) ** k, (a - b) ** k))
-    return {k: v for k, v in out.items() if v}
+                    _tensor_add(out, ("p", a, k - r), c * Fraction((-1) ** r, (a - b) ** (r + 1)))
+                _tensor_add(out, ("p", b, 1), c * Fraction((-1) ** k, (a - b) ** k))
+    return out
 
 
 def _rep_deriv(rep):
     """Derivative of a sum of poles c (z - a)^{-j}."""
-    out = {}
+    out: dict = {}
     for (_, a, j), c in rep.items():
-        nk = ("p", a, j + 1)
-        out[nk] = out.get(nk, Fraction(0)) - c * j
-    return {k: v for k, v in out.items() if v}
+        _tensor_add(out, ("p", a, j + 1), -c * j)
+    return out
+
+
+def _last_slot(pd, series, key) -> dict:
+    """The sum over pd's terms of c [t^(k-1)] series[a], (a, k) the last
+    slot, as a tensor keyed by key(the other slots)."""
+    out: dict = {}
+    for assign, c in pd.coeffs.items():
+        a, k = assign[-1]
+        _tensor_add(out, key(assign[:-1]), c * series[a].coefficient(k - 1))
+    return out
+
+
+def _mismatch(claim, part, lhs, rhs) -> VerificationReport | None:
+    """The failing report of one identity when its two sides differ."""
+    if lhs == rhs:
+        return None
+    diff = {k: lhs.get(k, 0) - rhs.get(k, 0) for k in set(lhs) | set(rhs)}
+    bad = {k: v for k, v in diff.items() if v}
+    return VerificationReport(claim, "fail", {"part": part, "diff": bad})
 
 
 def eo_string_dilaton_check(
@@ -500,28 +519,18 @@ def eo_string_dilaton_check(
 ) -> VerificationReport:
     """Exact identity checks: the string equation with weight x^m (m = 0, 1)
     and the dilaton equation, both as equalities of rational tensors."""
+    g, n, m = map(exact_int, (g, n, m))
     claim = f"eo-string-dilaton ({g},{n}) m={m}"
     base = _xm_over_xp(m)  # rejects m outside {0, 1} before any recursion
     curve = curve or SpectralCurve()
     hi = curve.omega(g, n + 1)
     lo = curve.omega(g, n)
-    # The charts the recursion for hi already built.
-    T = _pole_bound(g, n + 1)
+    # The last slot of hi reads each chart through its highest pole order.
+    charts = {alpha: curve.chart(alpha, hi.max_order()) for alpha in (1, -1)}
 
     # String equation.  LHS: residues of y x^m against the last slot.
-    weights = {}
-    for alpha in (1, -1):
-        ch = curve.chart(alpha, T)
-        weight = ch.ym_z
-        for _ in range(m):
-            weight = weight * ch.x
-        weights[alpha] = weight
-    lhs: dict = {}
-    for assign, c in hi.coeffs.items():
-        a, k = assign[-1]
-        factor = weights[a].coefficient(k - 1)
-        key = tuple(("p", aa, kk) for aa, kk in assign[:-1])
-        _tensor_add(lhs, key, c * factor)
+    weights = {a: ch.ym_z * ch.x if m else ch.ym_z for a, ch in charts.items()}
+    lhs = _last_slot(hi, weights, lambda rest: tuple(("p", a, k) for a, k in rest))
     # RHS: minus the derivative terms of the lower invariant.
     rhs: dict = {}
     for assign, c in lo.coeffs.items():
@@ -534,28 +543,16 @@ def eo_string_dilaton_check(
                     for l, (aa, kk) in enumerate(assign)
                 )
                 _tensor_add(rhs, key, -c * uc)
-    if lhs != rhs:
-        diff = {k: lhs.get(k, 0) - rhs.get(k, 0) for k in set(lhs) | set(rhs)}
-        bad = {k: v for k, v in diff.items() if v}
-        return VerificationReport(claim, "fail", {"part": "string", "diff": bad})
+    if failed := _mismatch(claim, "string", lhs, rhs):
+        return failed
 
     # Dilaton equation against a local antiderivative of y dx.
-    dl: dict = {}
-    for assign, c in hi.coeffs.items():
-        a, k = assign[-1]
-        ch = curve.chart(a, T)
-        factor = ch.phi.coefficient(k - 1)
-        key = tuple(assign[:-1])
-        _tensor_add(dl, key, c * factor)
+    dl = _last_slot(hi, {a: ch.phi for a, ch in charts.items()}, tuple)
     dr: dict = {}
     scale = Fraction(2 * g - 2 + n)
     for assign, c in lo.coeffs.items():
         _tensor_add(dr, tuple(assign), c * scale)
-    if dl != dr:
-        diff = {k: dl.get(k, 0) - dr.get(k, 0) for k in set(dl) | set(dr)}
-        bad = {k: v for k, v in diff.items() if v}
-        return VerificationReport(claim, "fail", {"part": "dilaton", "diff": bad})
-    return VerificationReport(claim, "pass")
+    return _mismatch(claim, "dilaton", dl, dr) or VerificationReport(claim, "pass")
 
 
 @lru_cache(maxsize=64)
@@ -580,8 +577,9 @@ def pole_asymptotics_check(
     read against the psi intersection numbers.  The differential is read
     afresh on every call, in one pass over its terms; the expected leading
     coefficients depend on (g, n) alone and are built once per pair."""
-    claim = f"pole-asymptotics ({g},{n})"
     pd = eo_invariant(g, n, curve)
+    g, n = pd.g, pd.n  # as ints, coerced by omega
+    claim = f"pole-asymptotics ({g},{n})"
     bound = _pole_bound(g, n)
     top = 0
     mixed = 0

@@ -45,8 +45,11 @@ def psi_intersection(g: int, beta) -> Fraction:
     Returns 0 when the dimension constraint sum(beta) = 3g - 3 + n fails;
     raises UnstableKeyError when 2g - 2 + n <= 0.
     """
+    g = exact_int(g)
     beta = tuple(sorted(map(exact_int, beta)))
     n = len(beta)
+    if g < 0:
+        raise ValueError(f"negative genus {g}")
     if any(b < 0 for b in beta):
         raise ValueError("negative psi exponent")
     if 2 * g - 2 + n <= 0:
@@ -134,16 +137,17 @@ def point_invariant(g: int, m, d: int) -> Fraction:
 
 
 def _point_check(g, m, d):
+    g, d = exact_int(g), exact_int(d)
     m = tuple(map(exact_int, m))
-    if d < 0 or any(x < 0 for x in m):
+    if g < 0 or d < 0 or any(x < 0 for x in m):
         raise ValueError("negative data")
     if not _stable(g, len(m) + d):
         raise UnstableKeyError(f"(g, n + d) = ({g}, {len(m) + d}) is unstable")
-    return m
+    return g, m, d
 
 
 def point_invariant_closed(g: int, m, d: int) -> Fraction:
-    m = _point_check(g, m, d)
+    g, m, d = _point_check(g, m, d)
     n = len(m)
     if sum(m) != 3 * g - 3 + n + d:
         return Fraction(0)
@@ -172,7 +176,7 @@ def point_invariant_closed(g: int, m, d: int) -> Fraction:
 
 
 def point_invariant_string(g: int, m, d: int) -> Fraction:
-    m = _point_check(g, m, d)
+    g, m, d = _point_check(g, m, d)
     n = len(m)
     if sum(m) != 3 * g - 3 + n + d:
         return Fraction(0)
@@ -205,6 +209,9 @@ def n0_polynomial(g: int, n: int) -> QuasiPoly:
     It is sum_beta <tau_beta>_g prod_i m_i (m_i - 1) ... (m_i - beta_i + 1),
     so its Newton coefficients at the origin are <tau_beta>_g prod beta_i!.
     """
+    g, n = exact_int(g), exact_int(n)
+    if g < 0:
+        raise ValueError(f"negative genus {g}")
     if not _stable(g, n):
         raise UnstableKeyError(f"(g, n) = ({g}, {n}) is unstable")
     newton = {

@@ -86,6 +86,13 @@ class TestInvariantCommand:
         assert rc == 2
         assert "invalid-exponent" in err
 
+    def test_negative_genus_is_usage_error(self, capsys):
+        for argv in (["psi", "--beta", "1,0,0,0,0,0,0"], ["n0", "--n", "5"]):
+            rc, recs, err = run(capsys, *argv, "--g", "-1")
+            assert rc == 2
+            assert recs == []
+            assert err.startswith("error:") and "negative genus" in err
+
     def test_unassigned_atom_is_usage_error(self, capsys):
         rc, recs, err = run(
             capsys, "--resolve-atoms", "invariant", "--N", "1", "--g", "1", "--ins", "0:1"

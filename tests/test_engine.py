@@ -687,6 +687,14 @@ class TestWdvv:
         with pytest.raises(ValueError):
             E.wdvv_primary(2, [3])
 
+    def test_non_integral_entry_is_rejected(self):
+        # 2.7 would otherwise be read as 2: the one conic through five points
+        with pytest.raises(ValueError, match="2.7"):
+            Engine().wdvv_primary(2, [2.7, 2, 2, 2, 2])
+        with pytest.raises(ValueError, match="2.5"):
+            Engine().wdvv_primary(2.5, [2, 2, 2, 2, 2])
+        assert Engine().wdvv_primary(Fraction(2), [Fraction(2), 2, 2, 2, 2]) == 1
+
 
 class TestCounterexample:
     def test_values_match_harmonic_closed_form(self):

@@ -11,6 +11,7 @@ from gwrec.engine import Engine
 from gwrec.eo import (
     PoleBasisDifferential,
     SpectralCurve,
+    _Chart,
     _corrected_01,
     _corrected_02,
     _pole_bound,
@@ -142,6 +143,40 @@ GOLDEN_OMEGA = {
 def test_omega_golden_digest(g, n):
     record = json.dumps(eo_invariant(g, n).to_obj(), sort_keys=True)
     assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN_OMEGA[(g, n)]
+
+
+class TestOneChart:
+    """A curve keeps one chart per branch point, rebuilt to a larger order
+    when a deeper invariant asks for one."""
+
+    @pytest.fixture(scope="class")
+    def curve32(self):
+        curve = SpectralCurve()
+        curve.omega(3, 2)
+        return curve
+
+    def test_one_chart_per_branch_point(self, curve32):
+        assert curve32.chart(1, 2) is curve32.chart(1, 18)
+        assert curve32.chart(1, 2).T == _pole_bound(3, 2)
+        assert list(curve32._charts) == [1]
+        assert curve32.chart(-1, 4) is curve32.chart(-1, 2)
+        assert sorted(curve32._charts) == [-1, 1]
+
+    def test_residues_do_not_depend_on_the_order(self, curve32):
+        # a monomial with p <= 6 is read through t^7, so order 8 holds it
+        deep = curve32.chart(1, 18)
+        keys = [key for key in deep._res if key[0] <= 6]
+        assert len(keys) > 100
+        shallow = _Chart(1, 8)
+        for key in keys:
+            assert shallow.residues(*key) == deep.residues(*key), key
+
+    def test_shallow_then_deep_on_one_curve(self):
+        curve = SpectralCurve()
+        for g, n in [(0, 3), (1, 1), (2, 2), (3, 1)]:
+            record = json.dumps(curve.omega(g, n).to_obj(), sort_keys=True)
+            assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN_OMEGA[(g, n)]
+        assert curve.chart(1, 2).T == _pole_bound(3, 1)
 
 
 def _at_inverse(coeffs, slot) -> dict:
@@ -509,3 +544,24 @@ class TestChecksReportFailures:
         assert rep.witness == {
             "alpha": 1, "beta": (0, 0, 0), "got": Fraction(3, 2), "expected": Fraction(1, 2),
         }
+
+
+@pytest.mark.parametrize(
+    "call,good,bad",
+    [
+        (lambda v: SpectralCurve().omega(1, v).to_obj(), 1, 1.5),
+        (lambda v: expand_at_infinity(eo_invariant(0, 3), v).coeffs, 10, 10.5),
+        (lambda v: gw_generating(0, 3, v), 8, 8.5),
+        (lambda v: compare_eo_gw(0, 3, v).to_obj(), 8, 8.5),
+        (lambda v: pole_asymptotics_check(2, v).to_obj(), 2, 2.5),
+        (lambda v: eo_string_dilaton_check(1, 1, v).to_obj(), 1, 1.5),
+    ],
+    ids=[
+        "omega", "expand_at_infinity", "gw_generating", "compare_eo_gw",
+        "pole_asymptotics_check", "eo_string_dilaton_check",
+    ],
+)
+def test_integral_float_is_read_as_its_int(call, good, bad):
+    assert call(float(good)) == call(good)
+    with pytest.raises(ValueError, match=str(bad)):
+        call(bad)

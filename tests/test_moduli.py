@@ -98,6 +98,14 @@ class TestPsiIntersection:
             psi_intersection(0, [0.7, 0, 0])
         assert psi_intersection(1, [Fraction(1)]) == Fraction(1, 24)
 
+    def test_genus_is_a_non_negative_integer(self):
+        # a negative genus names no moduli space, and 1.5 is no genus
+        with pytest.raises(ValueError, match="negative genus"):
+            psi_intersection(-1, [1, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(ValueError, match="1.5"):
+            psi_intersection(1.5, [1])
+        assert psi_intersection(Fraction(2), [4]) == Fraction(1, 1152)
+
 
 class TestPointInvariant:
     def test_dimension_zero_cases(self):
@@ -118,6 +126,16 @@ class TestPointInvariant:
                 route(0, [1.5, 0, 0, 0], 0)
         assert point_invariant(1, (Fraction(2),), 1) == Fraction(1, 24)
 
+    def test_genus_and_extra_points_are_non_negative_integers(self):
+        for route in (point_invariant, point_invariant_closed, point_invariant_string):
+            with pytest.raises(ValueError, match="negative"):
+                route(-1, (0,) * 7, 0)
+            with pytest.raises(ValueError, match="1.5"):
+                route(1, (2,), 1.5)
+            with pytest.raises(ValueError, match="0.5"):
+                route(0.5, (2,), 1)
+        assert point_invariant(Fraction(1), (2,), 1.0) == Fraction(1, 24)
+
     @pytest.mark.parametrize("g", [0, 1, 2])
     def test_routes_agree(self, g):
         for n in range(1, 4):
@@ -134,6 +152,13 @@ class TestPointInvariant:
 
 
 class TestN0Polynomial:
+    def test_genus_is_a_non_negative_integer(self):
+        with pytest.raises(ValueError, match="negative genus"):
+            n0_polynomial(-1, 5)
+        with pytest.raises(ValueError, match="0.5"):
+            n0_polynomial(0.5, 3)
+        assert n0_polynomial(1.0, 1).to_obj() == n0_polynomial(1, 1).to_obj()
+
     def test_genus0_three_point(self):
         q = n0_polynomial(0, 3)
         poly = q.branches[(0, 0, 0)]
