@@ -59,17 +59,6 @@ def c_factor(N: int, m: int) -> int:
     return factorial(q - 1) ** N * q ** (m - N * (q - 1))
 
 
-def c_factor_closed(N: int, m: int) -> Fraction:
-    """Closed form of c_N(m) for m > 0; independent route used as an oracle."""
-    if m == 0:
-        return Fraction(1)
-    q = ceil_div(m, N)
-    out = Fraction(1)
-    for i in range(1, q + 1):
-        out *= Fraction(i) ** N
-    return out * Fraction(q) ** (m - N * q)
-
-
 # Decimal conversion in chunks of this many digits stays below the
 # interpreter's int-to-str digit limit (4300 by default), which a value
 # in the thousands of digits would otherwise hit.
@@ -580,34 +569,6 @@ class LaurentSeries:
             return Fraction(0)
         return self.coeffs[e - self.min_exp]
 
-    def residue(self) -> Fraction:
-        """Coefficient of exponent -1; errors when truncation hides it."""
-        if self.trunc <= -1:
-            raise TruncationError("series truncated before exponent -1")
-        if self.min_exp > -1:
-            return Fraction(0)
-        return Fraction(self.nums[-1 - self.min_exp], self.den)
-
-    def product_residue(self, other: "LaurentSeries") -> Fraction:
-        """(self * other).residue() from the one convolution term it reads,
-        without building the product; raises exactly when that would."""
-        self._check_compat(other)
-        if min(self.min_exp + other.trunc, other.min_exp + self.trunc) <= -1:
-            raise TruncationError("series truncated before exponent -1")
-        # Index of exponent -1 in the product; it lies inside the product's
-        # window, so within both (padded) factors.
-        k = -1 - self.min_exp - other.min_exp
-        if k < 0 or not self.nums or not other.nums:
-            return Fraction(0)
-        s = sum(map(mul, self.nums[: k + 1], reversed(other.nums[: k + 1])))
-        return Fraction(s, self.den * other.den)
-
-    def shift(self, e: int) -> "LaurentSeries":
-        """var^e times self."""
-        return self._make(
-            self.var, self.center, self.min_exp + e, self.nums, self.den, self.trunc + e
-        )
-
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
             other = LaurentSeries.const(self.var, self.center, other, self.trunc)
@@ -693,25 +654,6 @@ class LaurentSeries:
             den = -den
         # Known to relative order n, centred at exponent -min_exp.
         return self._make(self.var, self.center, -self.min_exp, out, den, -self.min_exp + n)
-
-    def deriv(self) -> "LaurentSeries":
-        m = self.min_exp
-        return self._make(
-            self.var, self.center, m - 1,
-            [v * e for e, v in enumerate(self.nums, m)], self.den, self.trunc - 1,
-        )
-
-    def integ(self) -> "LaurentSeries":
-        """Antiderivative with zero constant term; errors on a 1/x term."""
-        pairs = [(v, e + 1) for e, v in enumerate(self.nums, self.min_exp)]
-        if any(v and not k for v, k in pairs):
-            raise ValueError("antiderivative of 1/x term is not a Laurent series")
-        # k = e + 1 divides the common multiplier for every nonzero term.
-        f = lcm(*(k for v, k in pairs if v))
-        out = [v * f // k if v else 0 for v, k in pairs]
-        return self._make(
-            self.var, self.center, self.min_exp + 1, out, self.den * f, self.trunc + 1
-        )
 
     def __repr__(self):
         bits = [

@@ -1,7 +1,7 @@
 """Topological recursion on the spectral curve x = z + 1/z, y = ln z.
 
-y enters only through its exact series in the local chart at each branch
-point z = +-1, on the branch (1/2) ln z^2 that vanishes at both, so that
+y enters only through closed forms in the local chart at each branch point
+z = +-1, on the branch (1/2) ln z^2 that vanishes at both, so that
 y(1/z) = -y(z).  Multidifferentials are stored exactly as tensors over the
 pole basis dz/(z - a)^k, a in {+1, -1}, k >= 2.  The recursion takes the
 residue at alpha in the one variable t = z - alpha: by the linear loop
@@ -19,7 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .algebra import LaurentSeries, SymRat, bipartitions, compositions, dot, exact_int, format_rat
+from .algebra import (
+    LaurentSeries, SymRat, binomial, bipartitions, compositions, dot, exact_int, format_rat
+)
 from .engine import DEFAULT_ENGINE, Engine
 from .moduli import psi_intersection
 from .quasifit import VerificationReport
@@ -87,13 +89,6 @@ def _pole_bound(g, n) -> int:
     return 6 * g - 4 + 2 * n
 
 
-def _power(pows, e):
-    """pows[e] of the successive powers pows = [1, b, ...], extended as needed."""
-    while len(pows) <= e:
-        pows.append(pows[-1] * pows[1])
-    return pows[e]
-
-
 class _Chart:
     """Exact local data of the curve at the branch point alpha, in the
     variable t = z - alpha, to truncation T.
@@ -101,55 +96,52 @@ class _Chart:
     The recursion reads every stable factor at z, where the pole basis is
     t^-p (z + alpha)^-q, so all it asks of the chart is `residues`: the
     residues of the kernel against those monomials, with or without the
-    factor dzhat s^r that omega^0_2 brings when it is read at zhat."""
+    factor dzhat s^r that omega^0_2 brings when it is read at zhat.
+
+    As alpha^2 = 1, y(z) - y(1/z) = 2 ln(1 + alpha t), x' = t (z + alpha)/z^2,
+    s = 1/z - alpha = -alpha t/z and dzhat/dt = -1/z^2, so the coefficient of
+    dz0/(z0 - alpha)^j in the kernel is -(alpha/4) t^(j-3) (z^2 - (-alpha)^(j-1)
+    z^(3-j)) M_1, where M_b = L (z + alpha)^-b and L = alpha t/ln(1 + alpha t)
+    is the kernel's one factor that is not binomial."""
 
     def __init__(self, alpha, T):
-        self.alpha = alpha
+        if alpha not in (1, -1):
+            raise ValueError(f"no branch point at z = {alpha}: they are z = 1 and z = -1")
+        self.alpha = alpha = int(alpha)
         self.T = T
-        self.center = c = str(alpha)
-        # zhat(t) = 1/(alpha + t)
-        self.zhat = LaurentSeries(
-            "t", c, 0, [(-1) ** r * alpha ** (r + 1) for r in range(T)], T
-        )
-        self.dzhat = self.zhat.deriv()
-        self.z = z = LaurentSeries("t", c, 0, [alpha, 1], T)
-        self.x = z + self.zhat
-        # 1 - z^2 has valuation 1 in t, so y is the antiderivative of
-        # dz/z = zhat dt that vanishes at t = 0, and y(z) - y(zhat) = 2 y(z).
-        self.ym_z = self.zhat.integ()
-        self.xp = 1 - self.zhat * self.zhat
-        self.kfac = -(self.ym_z * self.xp * 4).invert()
-        self.phi = (self.ym_z * self.xp).integ()
-        one = LaurentSeries("t", c, 0, [1], T)
-        self.s_pows = [one, self.zhat - alpha]  # s = zhat - alpha, valuation 1
-        self.q_pows = [one, (z + alpha).invert()]  # the other branch point's poles
-        self._dzs = {}
-        self._kj = {}
+        log = [Fraction((-alpha) ** e, e + 1) for e in range(T)]  # ln(1 + alpha t)/(alpha t)
+        self._inv = LaurentSeries("t", str(alpha), 0, [2 * alpha, 1], T).invert()
+        self._rows = [LaurentSeries("t", str(alpha), 0, log, T).invert()]  # the M_b
+        self._zpows = {}
         self._res = {}
 
-    def kernel(self, j):
-        """Coefficient series of dz0/(z0 - alpha)^j in the recursion kernel."""
-        if j not in self._kj:
-            r = j - 1
-            tr = LaurentSeries("t", self.center, r, [1], self.T)
-            self._kj[j] = self.kfac * (tr - _power(self.s_pows, r))
-        return self._kj[j]
+    def _zpow(self, a) -> list:
+        """[t^i] z^a = C(a, i) alpha^(a - i) for i < T."""
+        if a not in self._zpows:
+            self._zpows[a] = [binomial(a, i) * self.alpha ** ((a - i) % 2) for i in range(self.T)]
+        return self._zpows[a]
 
     def residues(self, p, q, r):
         """[Res_t kernel(j) t^-p (z + alpha)^-q X for j = 2, 3, ...], where
-        X = 1 if r is None and X = (dzhat/dt) s^r otherwise.  The kernel has
-        valuation at least j - 3, so the list stops at j = p + 2 - r."""
+        X = 1 if r is None and X = (dzhat/dt) s^r otherwise.  Entry j is
+        c [t^k] (z^e - (-alpha)^(j-1) z^(e+1-j)) M_(q+1), k = p + 2 - j - r,
+        with e = 2 and c = -alpha/4 if r is None, e = -r and
+        c = alpha (-alpha)^r/4 otherwise; the list stops at j = p + 2 - r."""
         key = (p, q, r)
         if key not in self._res:
-            y = _power(self.q_pows, q)
-            if r is not None:
-                if r not in self._dzs:
-                    self._dzs[r] = self.dzhat * _power(self.s_pows, r)
-                y = y * self._dzs[r]
-            y = y.shift(-p)
-            self._res[key] = [
-                self.kernel(j).product_residue(y) for j in range(2, p + 3 - (r or 0))
-            ]
+            a = self.alpha
+            e, c, r = (2, -a, 0) if r is None else (-r, a * (-a) ** r, r)
+            while len(self._rows) <= q + 1:
+                self._rows.append(self._rows[-1] * self._inv)
+            row = self._rows[q + 1]
+            row.coefficient(p - r)  # the deepest read: TruncationError beyond the row
+            nums, head = row.nums, self._zpow(e)  # M_b is a unit: nums[k] = [t^k] M_b
+            out = []
+            for j in range(2, p + 3 - r):
+                k, sign, tail = p + 2 - j - r, (-a) ** (j - 1), self._zpow(e + 1 - j)
+                s = sum((head[i] - sign * tail[i]) * nums[k - i] for i in range(k + 1))
+                out.append(Fraction(c * s, 4 * row.den))
+            self._res[key] = out
         return self._res[key]
 
 
@@ -495,13 +487,26 @@ def _rep_deriv(rep):
     return out
 
 
-def _last_slot(pd, series, key) -> dict:
-    """The sum over pd's terms of c [t^(k-1)] series[a], (a, k) the last
-    slot, as a tensor keyed by key(the other slots)."""
+def _string_weights(alpha, K) -> tuple:
+    """[t^e] for e < K of y, y x and phi, the antiderivative of y x' that
+    vanishes at t = 0, in the chart t = z - alpha: with alpha^2 = 1,
+    y = ln(1 + alpha t), x = 2 alpha + sum_{e >= 2} (-1)^e alpha^(e+1) t^e
+    and x' = -sum_{k >= 1} (k + 1) (-alpha)^k t^k."""
+    y = [Fraction(0)] + [Fraction((-1) ** (e + 1) * alpha**e, e) for e in range(1, K)]
+    x = [2 * alpha, 0] + [(-1) ** e * alpha ** (e + 1) for e in range(2, K)]
+    xp = [0] + [-(k + 1) * (-alpha) ** k for k in range(1, K)]
+    yx = [sum(y[i] * x[e - i] for i in range(e + 1)) for e in range(K)]
+    phi = [Fraction(0)] + [sum(y[i] * xp[e - 1 - i] for i in range(e)) / e for e in range(1, K)]
+    return y, yx, phi
+
+
+def _last_slot(pd, weights, i, key) -> dict:
+    """The sum over pd's terms of c [t^(k-1)] weights[a][i], (a, k) the
+    last slot, as a tensor keyed by key(the other slots)."""
     out: dict = {}
     for assign, c in pd.coeffs.items():
         a, k = assign[-1]
-        _tensor_add(out, key(assign[:-1]), c * series[a].coefficient(k - 1))
+        _tensor_add(out, key(assign[:-1]), c * weights[a][i][k - 1])
     return out
 
 
@@ -509,7 +514,7 @@ def _mismatch(claim, part, lhs, rhs) -> VerificationReport | None:
     """The failing report of one identity when its two sides differ."""
     if lhs == rhs:
         return None
-    diff = {k: lhs.get(k, 0) - rhs.get(k, 0) for k in set(lhs) | set(rhs)}
+    diff = {k: lhs.get(k, 0) - rhs.get(k, 0) for k in sorted(set(lhs) | set(rhs))}
     bad = {k: v for k, v in diff.items() if v}
     return VerificationReport(claim, "fail", {"part": part, "diff": bad})
 
@@ -525,12 +530,11 @@ def eo_string_dilaton_check(
     curve = curve or SpectralCurve()
     hi = curve.omega(g, n + 1)
     lo = curve.omega(g, n)
-    # The last slot of hi reads each chart through its highest pole order.
-    charts = {alpha: curve.chart(alpha, hi.max_order()) for alpha in (1, -1)}
+    # The last slot of hi reads each weight through its highest pole order.
+    weights = {alpha: _string_weights(alpha, hi.max_order()) for alpha in (1, -1)}
 
     # String equation.  LHS: residues of y x^m against the last slot.
-    weights = {a: ch.ym_z * ch.x if m else ch.ym_z for a, ch in charts.items()}
-    lhs = _last_slot(hi, weights, lambda rest: tuple(("p", a, k) for a, k in rest))
+    lhs = _last_slot(hi, weights, m, lambda rest: tuple(("p", a, k) for a, k in rest))
     # RHS: minus the derivative terms of the lower invariant.
     rhs: dict = {}
     for assign, c in lo.coeffs.items():
@@ -547,7 +551,7 @@ def eo_string_dilaton_check(
         return failed
 
     # Dilaton equation against a local antiderivative of y dx.
-    dl = _last_slot(hi, {a: ch.phi for a, ch in charts.items()}, tuple)
+    dl = _last_slot(hi, weights, 2, tuple)
     dr: dict = {}
     scale = Fraction(2 * g - 2 + n)
     for assign, c in lo.coeffs.items():

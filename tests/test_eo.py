@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
-from gwrec.algebra import LaurentSeries, format_rat
+from gwrec import eo
+from gwrec.algebra import LaurentSeries, TruncationError, format_rat
 from gwrec.engine import DEFAULT_ENGINE as E
 from gwrec.engine import Engine
 from gwrec.eo import (
@@ -16,6 +21,7 @@ from gwrec.eo import (
     _corrected_02,
     _pole_bound,
     _row,
+    _string_weights,
     compare_eo_gw,
     eo_invariant,
     eo_string_dilaton_check,
@@ -85,19 +91,89 @@ def _y_truncated(z, M):
 
 
 class TestChartLogarithm:
-    """The chart's y is the exact series of ln z: each polynomial
+    """The string weights' y is the exact series of ln z: each polynomial
     truncation y_M agrees with it through t^M and no further, at z and, with
     the sign of y(1/z) = -y(z), at zhat = 1/z."""
 
     @pytest.mark.parametrize("alpha", [1, -1])
     @pytest.mark.parametrize("M", [1, 2, 5, 9])
     def test_y_is_the_limit_of_its_truncations(self, alpha, M):
-        ch = SpectralCurve().chart(alpha, 16)
-        for arg, want in [(ch.z, ch.ym_z), (ch.zhat, -ch.ym_z)]:
+        y = _string_weights(alpha, 16)[0]
+        z = LaurentSeries("t", str(alpha), 0, [alpha, 1], 16)
+        for arg, sign in [(z, 1), (z.invert(), -1)]:
             got = _y_truncated(arg, M)
             for e in range(M + 1):
-                assert got.coefficient(e) == want.coefficient(e), (arg, e)
-            assert got.coefficient(M + 1) != want.coefficient(M + 1)
+                assert got.coefficient(e) == sign * y[e], (arg, e)
+            assert got.coefficient(M + 1) != sign * y[M + 1]
+
+
+def _series_power(base, e):
+    """base^e by repeated products; the int 1 for e = 0."""
+    out = 1
+    for _ in range(e):
+        out = out * base
+    return out
+
+
+class TestChartAgainstSeries:
+    """The chart's binomial sums and the closed-form string weights against
+    the same quantities built from their definitions in series arithmetic:
+    y = y_T, the truncation of ln z that is exact through t^T."""
+
+    T = 18
+    EXACT = 4 * T  # the truncation of a monomial t^e, which never binds
+
+    @pytest.fixture(scope="class", params=[1, -1])
+    def series(self, request):
+        alpha, T = request.param, self.T
+        z = LaurentSeries("t", str(alpha), 0, [alpha, 1], T + 1)
+        zhat = z.invert()
+        y = _y_truncated(z, T)
+        s = zhat - alpha
+        kfac = -(y * (1 - zhat * zhat) * 4).invert()
+        kernels = {}
+        for j in range(2, T + 1):
+            tj = LaurentSeries("t", str(alpha), j - 1, [1], self.EXACT)
+            kernels[j] = kfac * (tj - _series_power(s, j - 1))
+        return alpha, z, zhat, y, s, kernels
+
+    def test_residues(self, series):
+        alpha, z, zhat, y, s, kernels = series
+        chart = _Chart(alpha, self.T)
+        inv = (z + alpha).invert()
+        for r in [None] + list(range(9)):
+            X = 1 if r is None else -zhat * zhat * _series_power(s, r)
+            for q in range(9):
+                Y = _series_power(inv, q) * X
+                for p in range(17):
+                    Yp = Y * LaurentSeries("t", str(alpha), -p, [1], self.EXACT)
+                    want = [(kernels[j] * Yp).coefficient(-1) for j in range(2, p + 3 - (r or 0))]
+                    assert chart.residues(p, q, r) == want, (alpha, p, q, r)
+
+    def test_string_weights(self, series):
+        alpha, z, zhat, y, _, _ = series
+        K = self.T
+        ys, yxs, phis = _string_weights(alpha, K)
+        yx = y * (z + zhat)
+        yxp = y * (1 - zhat * zhat)
+        assert ys == [y.coefficient(e) for e in range(K)]
+        assert yxs == [yx.coefficient(e) for e in range(K)]
+        assert phis == [0] + [yxp.coefficient(e - 1) / e for e in range(1, K)]
+
+    def test_a_read_past_the_truncation_raises(self):
+        chart = _Chart(1, 8)
+        assert len(chart.residues(7, 3, None)) == 8  # reads through t^7
+        assert len(chart.residues(9, 3, 2)) == 8
+        for key in [(8, 0, None), (8, 3, None), (10, 1, 2)]:
+            with pytest.raises(TruncationError):
+                chart.residues(*key)
+
+    @pytest.mark.parametrize("alpha", [2, 0, -2, Fraction(1, 2)])
+    def test_only_the_branch_points_have_charts(self, alpha):
+        curve = SpectralCurve()
+        with pytest.raises(ValueError):
+            curve.chart(alpha, 5)
+        assert curve._charts == {}
 
 
 class TestMirrorCharts:
@@ -430,16 +506,16 @@ class TestStringDilaton:
             eo_string_dilaton_check(2, 2, 2, curve)
         assert curve._omegas == {}
 
-    def test_constant_shift_of_antiderivative_is_irrelevant(self):
+    def test_constant_shift_of_antiderivative_is_irrelevant(self, monkeypatch):
         # the dilaton part reads phi at order k - 1 >= 1 only, since the
         # invariants carry no first-order poles, so phi + c leaves it whole
+        def shifted(alpha, K):
+            y, yx, phi = _string_weights(alpha, K)
+            return y, yx, [phi[0] + Fraction(7, 3)] + phi[1:]
+
+        monkeypatch.setattr(eo, "_string_weights", shifted)
         for g, n in [(0, 3), (1, 1)]:
-            curve = SpectralCurve()
-            T = _pole_bound(g, n + 1)  # the chart order the check reads
-            for alpha in (1, -1):
-                ch = curve.chart(alpha, T)
-                ch.phi = ch.phi + LaurentSeries("t", ch.center, 0, [Fraction(7, 3)], T)
-            rep = eo_string_dilaton_check(g, n, 0, curve)
+            rep = eo_string_dilaton_check(g, n, 0)
             assert rep.status == "pass", rep.to_obj()
 
 
@@ -485,17 +561,37 @@ class TestChecksReportFailures:
         assert rep.witness["part"] == "string" and rep.witness["diff"]
         assert isinstance(rep.to_obj()["witness"]["diff"], dict)
 
-    def test_dilaton_part(self):
+    def test_dilaton_part(self, monkeypatch):
         # phi + t changes the dilaton residues at second-order poles; the
         # string part never reads phi
-        curve = SpectralCurve()
-        T = _pole_bound(0, 4)  # the chart order the check reads for (g, n + 1)
-        for alpha in (1, -1):
-            ch = curve.chart(alpha, T)
-            ch.phi = ch.phi + LaurentSeries("t", ch.center, 1, [1], T)
-        rep = eo_string_dilaton_check(0, 3, 0, curve)
+        def shifted(alpha, K):
+            y, yx, phi = _string_weights(alpha, K)
+            return y, yx, [phi[0], phi[1] + 1] + phi[2:]
+
+        monkeypatch.setattr(eo, "_string_weights", shifted)
+        rep = eo_string_dilaton_check(0, 3, 0)
         assert rep.status == "fail"
         assert rep.witness["part"] == "dilaton" and rep.witness["diff"]
+
+    def test_string_witness_does_not_follow_the_hash_seed(self):
+        # the witness's diff is keyed by tuples holding strings, so its
+        # order must not come from iterating a set
+        script = (
+            "import json; from gwrec.eo import SpectralCurve, eo_string_dilaton_check\n"
+            "curve = SpectralCurve(); curve.omega(0, 4)\n"
+            "curve.omega(0, 3).coeffs[((1, 2), (1, 2), (1, 2))] += 1\n"
+            "print(json.dumps(eo_string_dilaton_check(0, 3, 0, curve).to_obj()))\n"
+        )
+        src = str(Path(eo.__file__).resolve().parents[1])
+        outs = set()
+        for seed in ("1", "2", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            run = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            outs.add(run.stdout)
+        assert len(outs) == 1
+        assert '"status": "fail"' in outs.pop()
 
     def test_pole_maximum_order(self):
         curve = SpectralCurve()
@@ -513,13 +609,14 @@ class TestChecksReportFailures:
             "alpha": -1, "beta": (0, 0, 0), "got": Fraction(-1, 2), "expected": Fraction(1, 2),
         }
 
-    def test_string_weight_reads_x(self):
-        # x enters the string weight y x^m only for m = 1
+    def test_string_weight_reads_x(self, monkeypatch):
+        # x enters the string weight y x^m only for m = 1: x + 1 adds y to y x
+        def shifted(alpha, K):
+            y, yx, phi = _string_weights(alpha, K)
+            return y, [a + b for a, b in zip(yx, y)], phi
+
+        monkeypatch.setattr(eo, "_string_weights", shifted)
         curve = SpectralCurve()
-        T = _pole_bound(0, 4)  # the chart order the check reads for (g, n + 1)
-        for alpha in (1, -1):
-            ch = curve.chart(alpha, T)
-            ch.x = ch.x + LaurentSeries("t", ch.center, 0, [1], T)
         assert eo_string_dilaton_check(0, 3, 0, curve).status == "pass"
         rep = eo_string_dilaton_check(0, 3, 1, curve)
         assert rep.status == "fail"
