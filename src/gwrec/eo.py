@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import comb, factorial
 
 from .algebra import (
-    LaurentSeries, SymRat, binomial, bipartitions, compositions, dot, exact_int, format_rat
+    LaurentSeries, SymRat, binomial, compositions, dot, exact_int, format_rat
 )
 from .engine import DEFAULT_ENGINE, Engine
 from .moduli import psi_intersection
@@ -30,6 +31,12 @@ from .quasifit import VerificationReport
 class NonzeroResiduePartError(AssertionError):
     """The decomposition produced a first-order pole: the invariants must be
     residue-free, so this signals a bug."""
+
+
+class AsymmetricOrbitError(AssertionError):
+    """Two routes of the recursion reached one S_n orbit of omega^g_n with
+    different coefficients: the invariants are symmetric, so this signals
+    a bug or a corrupted lower table."""
 
 
 @dataclass
@@ -147,10 +154,16 @@ class _Chart:
 
 class SpectralCurve:
     """The curve x = z + 1/z, y = ln z, with memos of its invariants and of
-    one local chart per branch point."""
+    one local chart per branch point.
+
+    omega^g_n is symmetric in its n points, so the recursion keeps one
+    coefficient per S_n orbit of assignments, keyed by the sorted
+    assignment, and reads and writes nothing else.  `omega` expands the
+    orbits of the requested (g, n) alone into every ordering, once."""
 
     def __init__(self):
-        self._omegas: dict = {}
+        self._omegas: dict = {}  # (g, n) -> PoleBasisDifferential, as requested
+        self._orbits: dict = {}  # (g, n) -> {sorted assignment: coefficient}
         self._charts: dict = {}
 
     @classmethod
@@ -172,113 +185,167 @@ class SpectralCurve:
             raise ValueError(f"(g, n) = ({g}, {n}) is not in the stable range")
         key = (g, n)
         if key not in self._omegas:
-            self._omegas[key] = self._recurse(g, n)
+            orbits = self._orbit(g, n)
+            coeffs = {a: c for rep, c in orbits.items() for a in permutations(rep)}
+            self._omegas[key] = PoleBasisDifferential(g, n, coeffs)
         return self._omegas[key]
 
     # ------------------------------------------------------------------
 
-    def _recurse(self, g, n) -> PoleBasisDifferential:
+    def _orbit(self, g, n) -> dict:
+        """The orbit table of omega^g_n, {sorted assignment: coefficient}."""
+        key = (g, n)
+        if key not in self._orbits:
+            self._orbits[key] = self._recurse(g, n)
+        return self._orbits[key]
+
+    def _recurse(self, g, n) -> dict:
         bound = _pole_bound(g, n)
         out = self._chart_terms(g, n, 1)
         # The chart at -1 mirrors the one at +1 under z -> -z: negating every
-        # a_i multiplies a coefficient by (-1)^(k_1 + ... + k_n).
-        out.update(_reflect(out))
-        for a in out:
-            for _, k in a:
+        # a_i multiplies a coefficient by (-1)^(k_1 + ... + k_n).  An orbit
+        # with slots at both branch points is reached from both charts.
+        for rep, c in _reflect(out).items():
+            _put(out, rep, c)
+        for rep in out:
+            for _, k in rep:
                 if k < 2:
-                    raise NonzeroResiduePartError(f"first-order pole in {a}")
+                    raise NonzeroResiduePartError(f"first-order pole in {rep}")
                 if k > bound:
                     raise AssertionError(
                         f"pole order {k} beyond the bound {bound} at (g, n) = ({g}, {n})"
                     )
-        return PoleBasisDifferential(g, n, out)
+        return out
 
     def _chart_terms(self, g, n, alpha) -> dict:
         """The nonzero coefficients of omega^g_n whose first pole sits at
-        alpha, from the residue at that branch point.
+        alpha, from the residue at that branch point, keyed by orbit.
 
         A stable factor read at zhat = 1/z is minus the same factor read at
         z (the linear loop equation), so every bracket term is a coefficient
         on a monomial (p, q, r) of the chart: t^-p (z + alpha)^-q, times
-        dzhat s^r when omega^0_2 is read at zhat.  The coefficients of each
-        spectator assignment are contracted once against the residues."""
-        spect = list(range(1, n))
+        dzhat s^r when omega^0_2 is read at zhat.  The bracket is kept for
+        each sorted spectator key S and contracted once against the
+        residues.  An orbit is reached once for each distinct slot value
+        at alpha, and every route must give the same coefficient."""
+        m = n - 1
         bound = _pole_bound(g, n)
         ch = self.chart(alpha, bound)
         # Every bracket term is a product of two factors; the genus-reducing
         # term has both points in one factor and the unit as the other.
         products = []
         if g >= 1:
-            both = self._factor(g - 1, 2, spect, alpha, bound, zhat=True)
-            products.append((both, {(): [((0, 0, None), 1)]}))
+            products.append((self._factor(g - 1, 2, m, alpha, bound, zhat=True),
+                             {(): [((0, 0, None), 1)]}))
         for g1 in range(g + 1):
-            g2 = g - g1
-            for gI, gJ in bipartitions(spect):
-                if g1 == 0 and not gI:
+            for i in range(m + 1):  # spectators in the left factor
+                if (g1 == 0 and i == 0) or (g1 == g and i == m):
                     continue
-                if g2 == 0 and not gJ:
-                    continue
-                left = self._factor(g1, 1, gI, alpha, bound)
-                products.append((left, self._factor(g2, 1, gJ, alpha, bound, zhat=True)))
-        # spectator key -> {(p, q, r): pairs (a, b) whose sum of a * b is
-        # the coefficient}
+                products.append((self._factor(g1, 1, i, alpha, bound),
+                                 self._factor(g - g1, 1, m - i, alpha, bound, zhat=True)))
+        # S -> [prod of mult_S(v)!, {(p, q, r): pairs (a, b) whose sum of
+        # a * b is the coefficient}].  Left keys A and right keys B with the
+        # merge S come from prod_v C(mult_S(v), mult_A(v)) labelled splits.
         bracket: dict = {}
         for left, right in products:
+            rights = [(rkey, rterms, _multiplicity(rkey)) for rkey, rterms in right.items()]
             for lkey, lterms in left.items():
-                for rkey, rterms in right.items():
-                    sterms = bracket.setdefault(tuple(sorted(lkey + rkey)), {})
+                lmult = _multiplicity(lkey)
+                for rkey, rterms, rmult in rights:
+                    skey = tuple(sorted(lkey + rkey))
+                    entry = bracket.get(skey)
+                    if entry is None:
+                        entry = bracket[skey] = [_multiplicity(skey), {}]
+                    w, sterms = entry[0] // (lmult * rmult), entry[1]
                     for (p1, q1, r1), c1 in lterms:
+                        if w != 1:
+                            c1 = c1 * w
                         for (p2, q2, r2), c2 in rterms:
                             mono = (p1 + p2, q1 + q2, r1 if r2 is None else r2)
                             sterms.setdefault(mono, []).append((c1, c2))
         out: dict = {}
-        for skey, terms in bracket.items():
+        for skey, (_, terms) in bracket.items():
             rows = []
             for mono, pairs in terms.items():
                 c = dot(pairs)
                 if c:
                     rows.append((c, ch.residues(*mono)))
-            rest = tuple(ak for _, ak in skey)  # skey is sorted by slot
             for j in range(max((len(res) for _, res in rows), default=0)):
                 val = dot((c, res[j]) for c, res in rows if j < len(res))
                 if val:
-                    out[((alpha, j + 2),) + rest] = val
+                    _put(out, tuple(sorted(skey + ((alpha, j + 2),))), val)
         return out
 
-    def _factor(self, gp, nz, gvars, alpha, bound, zhat=False) -> dict:
-        """omega^gp with its first nz slots at the recursion point, the last
-        of them at zhat if zhat is set, and the rest on the spectators
-        gvars, as {spectator key: [((p, q, r), c)]}.  A stable factor read
-        at zhat is minus the one read at z; omega^0_2 is expanded in its
-        spectator through pole order bound + 4."""
-        if gp == 0 and nz + len(gvars) == 2:
+    def _factor(self, gp, nz, m, alpha, bound, zhat=False) -> dict:
+        """omega^gp with nz of its slots at the recursion point, the last
+        of them at zhat if zhat is set, and m on the spectators, as
+        {sorted spectator key: [((p, q, r), c)]}.  A stable factor read at
+        zhat is minus the one read at z; omega^0_2 is expanded in its
+        spectator through pole order bound + 4.
+
+        Each orbit gives one term for each distinct value at the point, or
+        for nz = 2 each distinct unordered pair of values, with weight 2
+        when the two differ: the two orderings of the pair."""
+        if gp == 0 and nz + m == 2:
             if nz == 2:
                 # dz dzhat / (z - 1/z)^2 = -t^-2 (z + alpha)^-2 dz dz, as
                 # z - 1/z = t (z + alpha) / z and dzhat = -dz / z^2
                 return {(): [((2, 2, None), -1)]}
-            (gvar,) = gvars
             return {
-                ((gvar, (alpha, r + 2)),): [((0, 0, r) if zhat else (-r, 0, None), r + 1)]
+                ((alpha, r + 2),): [((0, 0, r) if zhat else (-r, 0, None), r + 1)]
                 for r in range(bound + 3)
             }
         out: dict = {}
-        for assign, c in self.omega(gp, nz + len(gvars)).coeffs.items():
-            p = q = 0
-            for a, k in assign[:nz]:
-                if a == alpha:
-                    p += k
-                else:
-                    q += k
-            skey = tuple(zip(gvars, assign[nz:]))
-            out.setdefault(skey, []).append(((p, q, None), -c if zhat else c))
+        for rep, c in self._orbit(gp, nz + m).items():
+            if zhat:
+                c = -c
+            for i, x in enumerate(rep):
+                if i and rep[i - 1] == x:
+                    continue
+                rest = rep[:i] + rep[i + 1:]
+                if nz == 1:
+                    out.setdefault(rest, []).append((_monomial(alpha, (x,)), c))
+                    continue
+                # the second point: each distinct value y >= x of the rest
+                for l in range(i, len(rest)):
+                    y = rest[l]
+                    if l > i and rest[l - 1] == y:
+                        continue
+                    out.setdefault(rest[:l] + rest[l + 1:], []).append(
+                        (_monomial(alpha, (x, y)), c if y == x else 2 * c)
+                    )
         return out
 
 
+def _monomial(alpha, slots) -> tuple:
+    """The chart monomial (p, q, None) of the pole-basis slots read at z:
+    t^-p from the slots at alpha, (z + alpha)^-q from those at -alpha."""
+    p = sum(k for a, k in slots if a == alpha)
+    return (p, sum(k for _, k in slots) - p, None)
+
+
+def _multiplicity(key) -> int:
+    """prod over the distinct values v of a sorted key of mult(v)!."""
+    out = run = 1
+    for i in range(1, len(key)):
+        run = run + 1 if key[i] == key[i - 1] else 1
+        out *= run
+    return out
+
+
+def _put(orbits, rep, c):
+    """Store c as the coefficient of the orbit rep, which another route
+    may have reached already."""
+    old = orbits.setdefault(rep, c)
+    if old != c:
+        raise AsymmetricOrbitError(f"orbit {rep} reached with {old} and with {c}")
+
+
 def _reflect(terms) -> dict:
-    """The mirror image of pole-basis terms under z -> -z."""
+    """The mirror image of orbit terms under z -> -z, re-sorted."""
     return {
-        tuple((-a, k) for a, k in assign): -c if sum(k for _, k in assign) % 2 else c
-        for assign, c in terms.items()
+        tuple(sorted((-a, k) for a, k in rep)): -c if sum(k for _, k in rep) % 2 else c
+        for rep, c in terms.items()
     }
 
 
@@ -561,8 +628,10 @@ def eo_string_dilaton_check(
 
 @lru_cache(maxsize=64)
 def _airy_leading(g, n) -> tuple:
-    """The Airy limit of the leading coefficients, as (beta, value) pairs:
-    2^(5-5g-2n) <tau_beta>_g prod (2b+1)!/b! at the orders 2b+2."""
+    """The Airy limit of the leading coefficients, as (alpha, beta, key,
+    value) in the order the pole check reads them: at alpha = 1, then at
+    -1, the coefficient of key = ((alpha, 2b+2) for b in beta) is
+    2^(5-5g-2n) <tau_beta>_g prod (2b+1)!/b!."""
     shift = 5 - 5 * g - 2 * n
     leading = []
     for beta in compositions(3 * g - 3 + n, n):
@@ -571,7 +640,11 @@ def _airy_leading(g, n) -> tuple:
             weight *= factorial(2 * b + 1) // factorial(b)
         scaled = weight << shift if shift >= 0 else Fraction(weight, 1 << -shift)
         leading.append((beta, scaled * psi_intersection(g, beta)))
-    return tuple(leading)
+    return tuple(
+        (alpha, beta, tuple((alpha, 2 * b + 2) for b in beta), value)
+        for alpha in (1, -1)
+        for beta, value in leading
+    )
 
 
 def pole_asymptotics_check(
@@ -580,7 +653,8 @@ def pole_asymptotics_check(
     """Pole orders and the same-sign leading coefficients of the invariant,
     read against the psi intersection numbers.  The differential is read
     afresh on every call, in one pass over its terms; the expected leading
-    coefficients depend on (g, n) alone and are built once per pair."""
+    coefficients and their keys depend on (g, n) alone and are built once
+    per pair."""
     pd = eo_invariant(g, n, curve)
     g, n = pd.g, pd.n  # as ints, coerced by omega
     claim = f"pole-asymptotics ({g},{n})"
@@ -599,12 +673,11 @@ def pole_asymptotics_check(
             mixed += 1
     if top != bound:
         return VerificationReport(claim, "fail", {"max_order": top, "expected": bound})
-    for alpha in (1, -1):
-        for beta, expected in _airy_leading(g, n):
-            got = pd.coefficient(tuple((alpha, 2 * b + 2) for b in beta))
-            if got != expected:
-                return VerificationReport(
-                    claim, "fail",
-                    {"alpha": alpha, "beta": beta, "got": got, "expected": expected},
-                )
+    coeffs = pd.coeffs
+    for alpha, beta, key, expected in _airy_leading(g, n):
+        if coeffs.get(key) != expected:
+            return VerificationReport(
+                claim, "fail",
+                {"alpha": alpha, "beta": beta, "got": pd.coefficient(key), "expected": expected},
+            )
     return VerificationReport(claim, "pass", {"mixed_sign_terms": mixed})

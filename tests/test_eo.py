@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from gwrec.algebra import LaurentSeries, TruncationError, format_rat
 from gwrec.engine import DEFAULT_ENGINE as E
 from gwrec.engine import Engine
 from gwrec.eo import (
+    AsymmetricOrbitError,
     PoleBasisDifferential,
     SpectralCurve,
     _Chart,
@@ -176,30 +178,66 @@ class TestChartAgainstSeries:
         assert curve._charts == {}
 
 
+def _orderings(orbits) -> dict:
+    """Every ordering of every orbit representative, with its coefficient."""
+    out = {}
+    for rep, c in orbits.items():
+        for assign in permutations(rep):
+            out[assign] = c
+    return out
+
+
 class TestMirrorCharts:
     """omega only runs the chart at +1 and reflects it; these run the chart
-    at -1 directly and hold it against the reflection."""
+    at -1 directly and hold it against the re-sorted reflection."""
 
     @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 1)])
     def test_minus_chart_is_the_reflected_plus_chart(self, g, n):
         curve = SpectralCurve()
         plus = curve._chart_terms(g, n, 1)
         minus = curve._chart_terms(g, n, -1)
-        assert plus and all(a[0][0] == 1 for a in plus)
+        assert plus and all(list(rep) == sorted(rep) and rep[-1][0] == 1 for rep in plus)
         reflected = {
-            tuple((-a, k) for a, k in assign): c * (-1) ** sum(k for _, k in assign)
-            for assign, c in plus.items()
+            tuple(sorted((-a, k) for a, k in rep)): c * (-1) ** sum(k for _, k in rep)
+            for rep, c in plus.items()
         }
         assert minus == reflected
-        assert curve.omega(g, n).coeffs == {**plus, **minus}
+        assert curve.omega(g, n).coeffs == _orderings({**plus, **minus})
+
+
+class TestOrbits:
+    """The recursion keeps one coefficient per S_n orbit, and the routes
+    that reach one orbit from different first slots must agree."""
+
+    def test_only_the_requested_invariant_is_expanded(self):
+        curve = SpectralCurve()
+        pd = curve.omega(2, 2)
+        assert list(curve._omegas) == [(2, 2)]
+        assert {(0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2)} <= set(curve._orbits)
+        for table in curve._orbits.values():
+            assert all(list(rep) == sorted(rep) for rep in table)
+        assert pd.coeffs == _orderings(curve._orbits[(2, 2)])
+
+    @pytest.mark.parametrize("lo,hi", [((0, 4), (0, 5)), ((1, 2), (1, 3))])
+    def test_a_wrong_lower_coefficient_breaks_the_symmetry(self, lo, hi):
+        # +1 on any one stored orbit makes two routes to some orbit disagree
+        reps = list(SpectralCurve()._orbit(*lo))
+        assert len(reps) > 5
+        for rep in reps:
+            curve = SpectralCurve()
+            curve._orbit(*lo)[rep] += 1
+            with pytest.raises(AsymmetricOrbitError):
+                curve.omega(*hi)
 
 
 # sha256 of json.dumps(omega(g, n).to_obj(), sort_keys=True).  (1, 3), (2, 1),
 # (2, 2) and (0, 5) were computed with the recursion run on both charts in
 # Fraction arithmetic, (2, 3) and (3, 1) with every factor at zhat = 1/z
-# expanded as a Laurent series in its own right, the others with ln z
-# replaced by its truncation y_M, M = 6g - 4 + 2n; the exact series of ln z
-# and the linear loop equation give the same digests.
+# expanded as a Laurent series in its own right, (3, 2), (2, 4) and (3, 3)
+# with the recursion run on every ordering of the spectators instead of on
+# orbits, the others with ln z replaced by its truncation y_M,
+# M = 6g - 4 + 2n; the exact series of ln z and the linear loop equation
+# give the same digests.
 GOLDEN_OMEGA = {
     (0, 3): "70545704a42a519d6278363741616a7a02ddc7bbcc8c5547a94f9342ff80f4b7",
     (0, 4): "0c04040dd6fa63e3ce024daa02d2ca4c37dcca02ee085f2f10d3a4452dd74ed4",
@@ -212,6 +250,9 @@ GOLDEN_OMEGA = {
     (0, 5): "330d0b4834a8b9f531cc3e10c183a7541a95b0405fc6f53e38e8f096cc16adf3",
     (2, 3): "209fda4fb2c9c992515214d90ce0325fb8f076d15c8194448736697fd0436612",
     (3, 1): "876ac3745d9cab0e22605f4db64ddb4e5a273df3b0cca131b0ac80090203d24f",
+    (3, 2): "41d7b507544b1e69f5413b9efb2995dcecdc833bf8d4ae47ccec874d74379972",
+    (2, 4): "ec914a9bc92feeb91fc719a86af9b148587f99c8b4bfaeeec2bfef8f7469f7c9",
+    (3, 3): "21c3a3409586c98b0b8b12f3166757d069c28f3ade37a3fac017167ccf5fea3b",
 }
 
 
