@@ -7,9 +7,10 @@ pole basis dz/(z - a)^k, a in {+1, -1}, k >= 2.  The recursion takes the
 residue at alpha in the one variable t = z - alpha: by the linear loop
 equation omega(1/z, ...) = -omega(z, ...) of a stable differential, every
 stable factor of the bracket is read at z, where its poles are the monomials
-t^-p (z + alpha)^-q.  A bracket is then a table of rational coefficients on
-those monomials, contracted against the chart's exact residues of the
-kernel, so every coefficient that comes out is an exact rational number.
+t^-p (z + alpha)^-q.  A bracket is then a table of integer coefficients on
+those monomials over one denominator, contracted against the chart's exact
+residues of the kernel, also integers over one denominator, so every
+coefficient that comes out is one exact rational number.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .algebra import (
-    LaurentSeries, SymRat, binomial, compositions, dot, exact_int, format_rat
+    LaurentSeries, SymRat, binomial, compositions, exact_int, format_rat
 )
 from .engine import DEFAULT_ENGINE, Engine
 from .moduli import psi_intersection
@@ -52,7 +53,10 @@ class PoleBasisDifferential:
         return max((max(k for _, k in a) for a in self.coeffs), default=0)
 
     def coefficient(self, assignment) -> Fraction:
-        return self.coeffs.get(tuple(assignment), Fraction(0))
+        assignment = tuple(assignment)
+        if len(assignment) != self.n:
+            raise ValueError(f"an assignment of omega^{self.g}_{self.n} has {self.n} slots")
+        return self.coeffs.get(assignment, Fraction(0))
 
     def is_symmetric(self) -> bool:
         """Invariance under the adjacent transpositions, which generate S_n."""
@@ -84,6 +88,8 @@ class InfinitySeries:
 
     def coefficient(self, exps) -> Fraction:
         exps = tuple(exps)
+        if len(exps) != self.n:
+            raise ValueError(f"an exponent tuple of this series has {self.n} entries")
         if sum(exps) > self.depth:
             raise ValueError("beyond truncation depth")
         return self.coeffs.get(exps, Fraction(0))
@@ -101,9 +107,10 @@ class _Chart:
     variable t = z - alpha, to truncation T.
 
     The recursion reads every stable factor at z, where the pole basis is
-    t^-p (z + alpha)^-q, so all it asks of the chart is `residues`: the
+    t^-p (z + alpha)^-q, so all it asks of the chart is `_nums`: the
     residues of the kernel against those monomials, with or without the
-    factor dzhat s^r that omega^0_2 brings when it is read at zhat.
+    factor dzhat s^r that omega^0_2 brings when it is read at zhat, as
+    integers over one denominator per monomial.
 
     As alpha^2 = 1, y(z) - y(1/z) = 2 ln(1 + alpha t), x' = t (z + alpha)/z^2,
     s = 1/z - alpha = -alpha t/z and dzhat/dt = -1/z^2, so the coefficient of
@@ -128,9 +135,15 @@ class _Chart:
             self._zpows[a] = [binomial(a, i) * self.alpha ** ((a - i) % 2) for i in range(self.T)]
         return self._zpows[a]
 
-    def residues(self, p, q, r):
+    def residues(self, p, q, r) -> list:
+        """`_nums(p, q, r)` as Fractions."""
+        nums, den = self._nums(p, q, r)
+        return [Fraction(v, den) for v in nums]
+
+    def _nums(self, p, q, r) -> tuple:
         """[Res_t kernel(j) t^-p (z + alpha)^-q X for j = 2, 3, ...], where
-        X = 1 if r is None and X = (dzhat/dt) s^r otherwise.  Entry j is
+        X = 1 if r is None and X = (dzhat/dt) s^r otherwise, as integer
+        numerators over one denominator, 4 row.den.  Entry j is
         c [t^k] (z^e - (-alpha)^(j-1) z^(e+1-j)) M_(q+1), k = p + 2 - j - r,
         with e = 2 and c = -alpha/4 if r is None, e = -r and
         c = alpha (-alpha)^r/4 otherwise; the list stops at j = p + 2 - r."""
@@ -146,9 +159,8 @@ class _Chart:
             out = []
             for j in range(2, p + 3 - r):
                 k, sign, tail = p + 2 - j - r, (-a) ** (j - 1), self._zpow(e + 1 - j)
-                s = sum((head[i] - sign * tail[i]) * nums[k - i] for i in range(k + 1))
-                out.append(Fraction(c * s, 4 * row.den))
-            self._res[key] = out
+                out.append(c * sum((head[i] - sign * tail[i]) * nums[k - i] for i in range(k + 1)))
+            self._res[key] = (out, 4 * row.den)
         return self._res[key]
 
 
@@ -236,18 +248,20 @@ class SpectralCurve:
         products = []
         if g >= 1:
             products.append((self._factor(g - 1, 2, m, alpha, bound, zhat=True),
-                             {(): [((0, 0, None), 1)]}))
+                             ({(): [((0, 0, None), 1)]}, 1)))
         for g1 in range(g + 1):
             for i in range(m + 1):  # spectators in the left factor
                 if (g1 == 0 and i == 0) or (g1 == g and i == m):
                     continue
                 products.append((self._factor(g1, 1, i, alpha, bound),
                                  self._factor(g - g1, 1, m - i, alpha, bound, zhat=True)))
-        # S -> [prod of mult_S(v)!, {(p, q, r): pairs (a, b) whose sum of
-        # a * b is the coefficient}].  Left keys A and right keys B with the
-        # merge S come from prod_v C(mult_S(v), mult_A(v)) labelled splits.
+        # S -> [prod of mult_S(v)!, {(p, q, r): the coefficient's numerator
+        # over D}].  Left keys A and right keys B with the merge S come from
+        # prod_v C(mult_S(v), mult_A(v)) labelled splits.
+        D = lcm(*(ld * rd for (_, ld), (_, rd) in products))
         bracket: dict = {}
-        for left, right in products:
+        for (left, ld), (right, rd) in products:
+            scale = D // (ld * rd)
             rights = [(rkey, rterms, _multiplicity(rkey)) for rkey, rterms in right.items()]
             for lkey, lterms in left.items():
                 lmult = _multiplicity(lkey)
@@ -256,30 +270,35 @@ class SpectralCurve:
                     entry = bracket.get(skey)
                     if entry is None:
                         entry = bracket[skey] = [_multiplicity(skey), {}]
-                    w, sterms = entry[0] // (lmult * rmult), entry[1]
+                    w, sterms = entry[0] // (lmult * rmult) * scale, entry[1]
                     for (p1, q1, r1), c1 in lterms:
-                        if w != 1:
-                            c1 = c1 * w
+                        c1 *= w
                         for (p2, q2, r2), c2 in rterms:
                             mono = (p1 + p2, q1 + q2, r1 if r2 is None else r2)
-                            sterms.setdefault(mono, []).append((c1, c2))
+                            sterms[mono] = sterms.get(mono, 0) + c1 * c2
+        # The residue rows of the monomials that occur, over one denominator L.
+        monos = {mono for _, terms in bracket.values() for mono, c in terms.items() if c}
+        rows = {mono: ch._nums(*mono) for mono in monos}
+        L = lcm(*(den for _, den in rows.values()))
+        res = {mono: [v * (L // den) for v in nums] for mono, (nums, den) in rows.items()}
+        width = max(map(len, res.values()), default=0)
         out: dict = {}
         for skey, (_, terms) in bracket.items():
-            rows = []
-            for mono, pairs in terms.items():
-                c = dot(pairs)
+            acc = [0] * width
+            for mono, c in terms.items():
                 if c:
-                    rows.append((c, ch.residues(*mono)))
-            for j in range(max((len(res) for _, res in rows), default=0)):
-                val = dot((c, res[j]) for c, res in rows if j < len(res))
-                if val:
-                    _put(out, tuple(sorted(skey + ((alpha, j + 2),))), val)
+                    for j, v in enumerate(res[mono]):
+                        acc[j] += c * v
+            for j, v in enumerate(acc):
+                if v:
+                    _put(out, tuple(sorted(skey + ((alpha, j + 2),))), Fraction(v, D * L))
         return out
 
-    def _factor(self, gp, nz, m, alpha, bound, zhat=False) -> dict:
+    def _factor(self, gp, nz, m, alpha, bound, zhat=False) -> tuple:
         """omega^gp with nz of its slots at the recursion point, the last
         of them at zhat if zhat is set, and m on the spectators, as
-        {sorted spectator key: [((p, q, r), c)]}.  A stable factor read at
+        ({sorted spectator key: [((p, q, r), c)]}, d): integer c over the
+        lcm d of the orbit table's denominators.  A stable factor read at
         zhat is minus the one read at z; omega^0_2 is expanded in its
         spectator through pole order bound + 4.
 
@@ -290,15 +309,17 @@ class SpectralCurve:
             if nz == 2:
                 # dz dzhat / (z - 1/z)^2 = -t^-2 (z + alpha)^-2 dz dz, as
                 # z - 1/z = t (z + alpha) / z and dzhat = -dz / z^2
-                return {(): [((2, 2, None), -1)]}
+                return {(): [((2, 2, None), -1)]}, 1
             return {
                 ((alpha, r + 2),): [((0, 0, r) if zhat else (-r, 0, None), r + 1)]
                 for r in range(bound + 3)
-            }
+            }, 1
+        table = self._orbit(gp, nz + m)
+        den = lcm(*(c.denominator for c in table.values()))
+        sign = -1 if zhat else 1
         out: dict = {}
-        for rep, c in self._orbit(gp, nz + m).items():
-            if zhat:
-                c = -c
+        for rep, c in table.items():
+            c = sign * c.numerator * (den // c.denominator)
             for i, x in enumerate(rep):
                 if i and rep[i - 1] == x:
                     continue
@@ -314,7 +335,7 @@ class SpectralCurve:
                     out.setdefault(rest[:l] + rest[l + 1:], []).append(
                         (_monomial(alpha, (x, y)), c if y == x else 2 * c)
                     )
-        return out
+        return out, den
 
 
 def _monomial(alpha, slots) -> tuple:
@@ -380,40 +401,33 @@ def expand_at_infinity(pd: PoleBasisDifferential, depth: int) -> InfinitySeries:
     if depth < 2 * pd.n:
         raise ValueError("depth too small to hold any coefficient")
     per_var = depth - 2 * (pd.n - 1)
-    rows = {}  # (alpha, k) -> row
-    out: dict = {}
-    for assign, c in pd.coeffs.items():
-        for ak in assign:
-            if ak not in rows:
-                rows[ak] = _row(*ak, per_var)
-        _tensor_accumulate(out, [rows[ak] for ak in assign], c, depth)
-    return InfinitySeries(pd.n, depth, out)
+    rows = {ak: _row(*ak, per_var) for ak in {ak for assign in pd.coeffs for ak in assign}}
+    return InfinitySeries(pd.n, depth, _contract(pd.coeffs, rows, depth))
 
 
-def _tensor_add(store, key, c):
-    if c:
-        store[key] = store.get(key, Fraction(0)) + c
-        if store[key] == 0:
-            del store[key]
-
-
-def _tensor_accumulate(out, rows, c, depth):
-    """Add c times the tensor product of the int rows (row i holds the
-    coefficients of u_i^e, zero below e = 2) into out, over the exponent
-    tuples of total at most depth; zero entries are skipped."""
-    n = len(rows)
-
-    def rec(i, exps, total, acc):
-        if i == n:
-            _tensor_add(out, exps, acc)
-            return
-        # every later row starts at u^2
-        room = depth - total - 2 * (n - i - 1)
-        for e, v in enumerate(rows[i][: room + 1]):
-            if v:
-                rec(i + 1, exps + (e,), total + e, acc * v)
-
-    rec(0, (), 0, c)
+def _contract(coeffs, rows, depth) -> dict:
+    """The nonzero sum over keys of coeffs[key] times the tensor product of
+    the int rows[slot] (coefficients of u^e, zero below e = 2) over the
+    key's slots, on exponent tuples of total at most depth.  The sums run on
+    numerators over one denominator, one slot at a time, first to last;
+    terms that agree on the slots still unread merge before the next."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    layer = {  # unread slots -> {exps: numerator}
+        key: {(): c.numerator * (den // c.denominator)} for key, c in coeffs.items() if c
+    }
+    for _ in range(len(next(iter(layer), ()))):
+        nxt: dict = {}
+        for slots, partial in layer.items():
+            row, rest = rows[slots[0]], slots[1:]
+            room = depth - 2 * len(rest)  # every later row starts at u^2
+            acc = nxt.setdefault(rest, {})
+            for exps, c in partial.items():
+                for e, v in enumerate(row[: room - sum(exps) + 1]):
+                    if v:
+                        key = exps + (e,)
+                        acc[key] = acc.get(key, 0) + c * v
+        layer = nxt
+    return {exps: Fraction(c, den) for exps, c in layer.get((), {}).items() if c}
 
 
 def gw_generating(g, n, depth, engine: Engine = DEFAULT_ENGINE) -> dict:
@@ -498,14 +512,12 @@ def _corrected_02(depth) -> dict:
     powers of w1 w2: (r + 1) (w1 w2)^(r+2) z'(x1) z'(x2) for r >= 0, where
     [u^e] w^(r+2) z'(x) = C(e-1, (e-2-r)/2) for e >= r + 2, e = r mod 2;
     the term r starts at total degree 2r + 4 <= depth."""
-    out: dict = {}
-    for r in range(depth // 2 - 1):
-        row = [
-            comb(e - 1, (e - 2 - r) // 2) if e >= r + 2 and (e - r) % 2 == 0 else 0
-            for e in range(depth + 1)
-        ]
-        _tensor_accumulate(out, [row, row], r + 1, depth)
-    return out
+    rows = {
+        r: [comb(e - 1, (e - 2 - r) // 2) if e >= r + 2 and (e - r) % 2 == 0 else 0
+            for e in range(depth + 1)]
+        for r in range(depth // 2 - 1)
+    }
+    return _contract({(r, r): r + 1 for r in rows}, rows, depth)
 
 
 # ----------------------------------------------------------------------
@@ -521,6 +533,13 @@ def _xm_over_xp(m):
         return {("m", 1): Fraction(1), ("p", 1, 1): Fraction(1),
                 ("p", -1, 1): Fraction(1)}
     raise ValueError("string equation power must be 0 or 1")
+
+
+def _tensor_add(store, key, c):
+    if c:
+        store[key] = store.get(key, Fraction(0)) + c
+        if store[key] == 0:
+            del store[key]
 
 
 def _rep_mul_pole(rep, a, k):

@@ -235,9 +235,10 @@ class TestOrbits:
 # Fraction arithmetic, (2, 3) and (3, 1) with every factor at zhat = 1/z
 # expanded as a Laurent series in its own right, (3, 2), (2, 4) and (3, 3)
 # with the recursion run on every ordering of the spectators instead of on
-# orbits, the others with ln z replaced by its truncation y_M,
-# M = 6g - 4 + 2n; the exact series of ln z and the linear loop equation
-# give the same digests.
+# orbits, (4, 2) with the bracket and its contraction against the residues
+# summed as Fractions term by term, the others with ln z replaced by its
+# truncation y_M, M = 6g - 4 + 2n; the exact series of ln z and the linear
+# loop equation give the same digests.
 GOLDEN_OMEGA = {
     (0, 3): "70545704a42a519d6278363741616a7a02ddc7bbcc8c5547a94f9342ff80f4b7",
     (0, 4): "0c04040dd6fa63e3ce024daa02d2ca4c37dcca02ee085f2f10d3a4452dd74ed4",
@@ -253,6 +254,7 @@ GOLDEN_OMEGA = {
     (3, 2): "41d7b507544b1e69f5413b9efb2995dcecdc833bf8d4ae47ccec874d74379972",
     (2, 4): "ec914a9bc92feeb91fc719a86af9b148587f99c8b4bfaeeec2bfef8f7469f7c9",
     (3, 3): "21c3a3409586c98b0b8b12f3166757d069c28f3ade37a3fac017167ccf5fea3b",
+    (4, 2): "9ea4f9d3d2ccd04d6f97b3054a817e50455407fd1da2742a90768c1e5c31372e",
 }
 
 
@@ -472,6 +474,71 @@ def test_expansion_golden_digest(g, n, depth):
     assert all(type(c) is Fraction for c in es.coeffs.values())
     record = json.dumps(sorted((list(e), format_rat(c)) for e, c in es.coeffs.items()))
     assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN_EXPANSION[(g, n, depth)]
+
+
+def _tensor_sum(pd, depth) -> dict:
+    """expand_at_infinity by its definition: for every assignment, its
+    coefficient times the full tensor product of its slots' rows, each
+    product of one exponent tuple added as a Fraction."""
+    per_var = depth - 2 * (pd.n - 1)
+    out = {}
+
+    def rec(rows, exps, acc):
+        if len(exps) == len(rows):
+            out[exps] = out.get(exps, Fraction(0)) + acc
+            return
+        room = depth - sum(exps) - 2 * (len(rows) - len(exps) - 1)
+        for e, v in enumerate(rows[len(exps)][: room + 1]):
+            if v:
+                rec(rows, exps + (e,), acc * v)
+
+    for assign, c in pd.coeffs.items():
+        rec([_row(a, k, per_var) for a, k in assign], (), c)
+    return {exps: c for exps, c in out.items() if c}
+
+
+class TestContraction:
+    """expand_at_infinity reads one slot at a time on integers; the oracle
+    takes the full tensor product of every assignment in Fractions."""
+
+    def test_against_the_tensor_sum(self):
+        pd = eo_invariant(2, 3)
+        got = expand_at_infinity(pd, 12).coeffs
+        assert got == _tensor_sum(pd, 12)
+        assert len(got) > 30 and all(type(c) is Fraction for c in got.values())
+
+    def test_a_non_symmetric_differential(self):
+        pd = eo_invariant(1, 3)
+        coeffs = dict(pd.coeffs)
+        key = ((1, 4), (1, 2), (1, 3))
+        coeffs[key] += Fraction(1, 3)
+        assert coeffs[key] != coeffs[tuple(sorted(key))]
+        lopsided = PoleBasisDifferential(1, 3, coeffs)
+        got = expand_at_infinity(lopsided, 12).coeffs
+        want = _tensor_sum(lopsided, 12)
+        assert got == want and got != expand_at_infinity(pd, 12).coeffs
+        assert any(got[e] != got.get(e[::-1]) for e in got)
+        assert all(type(c) is Fraction for c in got.values())
+
+
+class TestKeyLength:
+    """A key of the wrong length is an error, not a zero coefficient."""
+
+    def test_pole_basis_coefficient(self):
+        pd = eo_invariant(1, 2)
+        with pytest.raises(ValueError, match="2 slots"):
+            pd.coefficient([(1, 4)])
+        with pytest.raises(ValueError, match="2 slots"):
+            pd.coefficient([(1, 2), (1, 2), (1, 2)])
+        assert pd.coefficient([(1, 4), (1, 2)]) == pd.coeffs[((1, 4), (1, 2))]
+
+    def test_infinity_series_coefficient(self):
+        es = expand_at_infinity(eo_invariant(1, 2), 10)
+        with pytest.raises(ValueError, match="2 entries"):
+            es.coefficient((2,))
+        with pytest.raises(ValueError, match="2 entries"):
+            es.coefficient((2, 2, 2))
+        assert es.coefficient((2, 4)) == es.coeffs[(2, 4)] == Fraction(1, 4)
 
 
 class TestGenerating:
