@@ -201,8 +201,9 @@ def cmd_verify(args, config, engine):
     try:
         ok = _verify(sub, args, config, engine)
     except InconsistentSamplesError as exc:
-        # Engine values that fit no quasi-polynomial fail the check.
-        ok = _emit_report(VerificationReport(f"verify {sub}", "fail", {"error": str(exc)}))
+        # Values off a quasi-polynomial fail, unless only through atoms.
+        status = "inconclusive-atoms" if exc.atoms_only else "fail"
+        ok = _emit_report(VerificationReport(f"verify {sub}", status, {"error": str(exc)}))
     return 0 if ok else 1
 
 

@@ -35,9 +35,14 @@ class UnderdeterminedSystemError(ValueError):
 
 
 class InconsistentSamplesError(ArithmeticError):
-    """A surplus sample disagrees with the unique interpolant: either a bug
-    or a failure of quasi-polynomiality.  Not a ValueError: the input was
-    valid and the values failed the check."""
+    """A surplus sample disagrees with the unique interpolant: a bug or a
+    failure of quasi-polynomiality, unless `atoms_only` (every offending
+    difference carries an atom: an equation in unresolved atoms).  Not a
+    ValueError: the input was valid and the values failed the check."""
+
+    def __init__(self, message, atoms_only=False):
+        super().__init__(message)
+        self.atoms_only = atoms_only
 
 
 def _fmt_witness(v):
@@ -161,8 +166,10 @@ def _differences(table, degree):
         if sum(a) <= degree:
             newton[a] = value(i)
         elif any(col[i] for col in columns):
+            surplus = [value(j) for j, b in enumerate(keys) if sum(b) > degree]
             raise InconsistentSamplesError(
-                f"difference at offset {a} is {value(i)!r}, beyond degree {degree}"
+                f"difference at offset {a} is {value(i)!r}, beyond degree {degree}",
+                atoms_only=all(v.atoms for v in surplus if v),
             )
     return newton
 
@@ -336,7 +343,8 @@ class StationaryFamily:
         except InconsistentSamplesError as exc:
             raise InconsistentSamplesError(
                 f"the family through {v} is not polynomial of degree {degree} "
-                f"in the slots {low}: {exc}"
+                f"in the slots {low}: {exc}",
+                atoms_only=exc.atoms_only,
             ) from None
         t = [(v[i] - b) // mod for i, b in zip(low, bases)]
         return SymRat.of(dot(
@@ -509,7 +517,7 @@ def asymptotics_report(
         if min(ms) >= lo and sum(ms) % mod == stationary_parity(N, g, n):
             break
         t -= 1
-    if t == 0:
+    if t <= 0:
         raise ValueError(f"{claim}: no admissible point up to m = {m_max}")
     ms = tuple(t * r for r in ray)
     val = _normalized(engine, N, g, ms)

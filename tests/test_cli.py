@@ -157,6 +157,56 @@ class TestVerifyCommands:
         assert "is not polynomial" in recs[0]["witness"]["error"]
         assert err == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("negative", "--N", "1", "--g", "2", "--k", "1,1", "--m", "6"),
+            ("top", "--N", "1", "--g", "2", "--n", "2"),
+        ],
+    )
+    def test_surplus_in_unresolved_atoms_is_inconclusive(self, capsys, argv):
+        # Every nonzero difference beyond the degree bound is an equation in
+        # genus-2 atoms: no evidence against quasi-polynomiality.
+        rc, recs, err = run(capsys, "verify", *argv)
+        assert rc == 1
+        assert [r["status"] for r in recs] == ["inconclusive-atoms"]
+        assert "gw[N=1;g=2;" in recs[0]["witness"]["error"]
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "argv, off",
+        [
+            # The family through (-1, 1, 2) extrapolates its first slot from
+            # the levels 1 and 3; the bracket at level 3 is off.
+            (("negative", "--N", "1", "--g", "0", "--k", "0", "--m", "1,2"),
+             "gw[N=1;g=0;ins=(1,1),(2,1),(3,1)]"),
+            # The fit's coset (1, 1, 1, 1) has surplus nodes at levels 5 and 7
+            # on its first axis.
+            (("top", "--N", "1", "--g", "0", "--n", "4"),
+             "gw[N=1;g=0;ins=(1,1),(1,1),(1,1),(7,1)]"),
+        ],
+    )
+    def test_atom_free_surplus_fails(self, capsys, monkeypatch, argv, off):
+        class OneBracketOff(Engine):
+            def invariant(self, N, g, insertions):
+                val = super().invariant(N, g, insertions)
+                key = InvariantKey.make(N, g, insertions).canonical()
+                return val + 1 if key == off else val
+
+        monkeypatch.setattr("gwrec.cli.Engine", OneBracketOff)
+        rc, recs, _ = run(capsys, "verify", *argv)
+        assert rc == 1
+        assert [r["status"] for r in recs] == ["fail"]
+
+    def test_asymptotics_with_no_level_on_the_ray_is_usage_error(self, capsys):
+        rc, recs, err = run(
+            capsys, "verify", "asymptotics", "--N", "1", "--g", "1", "--n", "1",
+            "--ray", "1", "--max-m", "-5",
+        )
+        assert rc == 2
+        assert recs == []
+        assert "no admissible point up to m = -5" in err
+
     def test_example_f_reports_the_broken_recursion(self, capsys):
         # the two-step recursion printed in the source material does not
         # hold for the engine values; the command reports it honestly

@@ -3,6 +3,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import comb
 
 import pytest
 from hypothesis import assume, given
@@ -694,6 +695,82 @@ class TestWdvv:
         with pytest.raises(ValueError, match="2.5"):
             Engine().wdvv_primary(2.5, [2, 2, 2, 2, 2])
         assert Engine().wdvv_primary(Fraction(2), [Fraction(2), 2, 2, 2, 2]) == 1
+
+
+# sha256 of _primary_record(): one line per multiset of classes of P^1..P^4,
+# with up to 8 insertions for N <= 2 and up to 7 for N >= 3 (1332 keys, 108
+# of them nonzero), computed by the associativity solver that the genus-0
+# recursion replaced.
+GOLDEN_PRIMARIES = "69a4ba2b94c957ac7afefcaf8389f78e80b46e6922a2a70bf160144955622dd3"
+
+
+def _primary_record():
+    """Lines "N;exps;wdvv_primary;invariant": `wdvv_primary` on one engine
+    per N, in enumeration order, and `invariant` on a fresh engine."""
+    lines = []
+    for N in range(1, 5):
+        shared = Engine()
+        for n in range(9 if N <= 2 else 8):
+            for exps in combinations_with_replacement(range(N + 1), n):
+                w = shared.wdvv_primary(N, exps)
+                v = Engine().invariant(N, 0, [(0, a) for a in exps])
+                assert not v.atoms
+                lines.append(f"{N};{','.join(map(str, exps))};{w};{v.scalar}")
+    return lines
+
+
+def _kontsevich(dmax):
+    """N_d, the number of rational plane curves of degree d through 3d - 1
+    general points, by Kontsevich's recursion."""
+    n = {1: 1}
+    for d in range(2, dmax + 1):
+        n[d] = sum(
+            n[a] * n[d - a] * (
+                a * a * (d - a) ** 2 * comb(3 * d - 4, 3 * a - 2)
+                - a**3 * (d - a) * comb(3 * d - 4, 3 * a - 1)
+            )
+            for a in range(1, d)
+        )
+    return n
+
+
+class TestPrimariesThroughRecursion:
+    def test_golden_primaries(self):
+        lines = _primary_record()
+        assert len(lines) == 1332
+        assert sum(line.rsplit(";", 1)[1] != "0" for line in lines) == 108
+        record = "\n".join(lines)
+        assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN_PRIMARIES
+
+    def test_kontsevich_plane_counts(self):
+        shared = Engine()
+        for d, want in _kontsevich(6).items():
+            pts = [2] * (3 * d - 1)
+            assert shared.wdvv_primary(2, pts) == want, d
+            assert Engine().invariant(2, 0, [(0, 2)] * len(pts)) == want, d
+
+    def test_order_of_asking_does_not_matter(self):
+        # The recursion of <tau_1(w) pt^4>_2 has a term whose left factor is
+        # a degree-0 two-point key and whose right factor is <pt^5>_2, and
+        # the primary <pt^5>_2 is itself read through <tau_1(w) pt^4>_2.
+        desc = [(1, 1)] + [(0, 2)] * 4
+        conic = [(0, 2)] * 5
+        first = Engine()
+        assert first.invariant(2, 0, desc) == 1
+        assert first.invariant(2, 0, conic) == 1
+        second = Engine()
+        assert second.invariant(2, 0, conic) == 1
+        assert second.invariant(2, 0, desc) == 1
+
+    def test_divisor_rule_on_primaries(self):
+        # <tau_0(w^a) Y>_d = <tau_0(w) tau_1(w^(a-1)) Y>_d - d <tau_1(w^(a-1)) Y>_d
+        for N, exps in [(2, (2,) * 8), (3, (2,) * 6 + (3,)), (3, (2, 2, 3, 3, 3))]:
+            key = InvariantKey.make(N, 0, [(0, a) for a in exps])
+            d = key.degree()
+            a, Y = exps[0], [(0, y) for y in exps[1:]]
+            raised = Engine().invariant(N, 0, [(0, 1), (1, a - 1)] + Y)
+            lowered = Engine().invariant(N, 0, [(1, a - 1)] + Y)
+            assert Engine().wdvv_primary(N, exps) == raised - d * lowered, (N, exps)
 
 
 class TestCounterexample:

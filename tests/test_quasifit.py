@@ -171,6 +171,20 @@ class TestDifferences:
         assert got[(1,)].atoms == {}
         assert got[(1,)] == 1
 
+    @pytest.mark.parametrize("f4, atoms_only", [
+        (SymRat(4, {"x": 4}), True),  # the level-4 difference vanishes
+        (SymRat(4, {"x": 5}), True),  # it is x
+        (SymRat(5, {"x": 4}), False),  # it is 1: atom-free
+    ])
+    def test_surplus_differences_all_in_atoms(self, f4, atoms_only):
+        # The level-3 difference is x; the verdict reads every surplus one.
+        table = {(i,): SymRat(i) for i in range(3)}
+        table[(3,)] = SymRat(3, {"x": 1})
+        table[(4,)] = f4
+        with pytest.raises(InconsistentSamplesError) as exc:
+            _differences(table, 1)
+        assert exc.value.atoms_only is atoms_only
+
     def test_surplus_difference_in_an_atom_coefficient(self):
         table = {(i,): SymRat(i) for i in range(3)}
         table[(3,)] = SymRat(3, {"x": 1})
@@ -497,6 +511,11 @@ class TestVerifiers:
         rep = asymptotics_report(1, 1, 1, (2,), 40)
         assert rep.status == "inconclusive-atoms"
         assert rep.witness == {"atom": "gw[N=1;g=1;ins=(0,1)]"}
+
+    @pytest.mark.parametrize("m_max", [0, -5])
+    def test_asymptotics_without_a_point_on_the_ray(self, m_max):
+        with pytest.raises(ValueError, match=f"no admissible point up to m = {m_max}"):
+            asymptotics_report(1, 1, 1, (1,), m_max)
 
     def test_asymptotics_rejects_degenerate_ray(self):
         with pytest.raises(ValueError):
