@@ -16,7 +16,9 @@ negative evaluates to zero.
 Keys are tuples (N, g, ins).  Each recursion route is a generator that
 yields the keys it needs and receives their values; one loop runs the
 routes on an explicit stack, so the depth of a recursion chain is bounded
-by memory, not by the interpreter's recursion limit.
+by memory, not by the interpreter's recursion limit.  Genus-0 evaluation,
+primaries included, never re-enters `Engine._invariant`; only a chain
+bracket's factor does, at a depth bounded by beta <= 3g - 2.
 """
 
 from __future__ import annotations
@@ -184,13 +186,14 @@ class Engine:
     """Memoized evaluator on an explicit stack.  `_compute(key)` returns the
     key's route as a generator that yields the keys it needs; `_invariant`
     answers each from the cache or pushes it, and never recurses through
-    the interpreter.  All methods are pure; the caches only ever receive
+    the interpreter.  Genus-0 evaluation never re-enters `_invariant`; only
+    a chain bracket's factor (`_chain_factor`) does, at a depth bounded by
+    beta <= 3g - 2.  All methods are pure; the caches only ever receive
     idempotent writes, so concurrent use is safe."""
 
     def __init__(self):
         self.cache: dict = {}
         self._bb_memo: dict = {}
-        self._wdvv_memo: dict = {}
 
     # ------------------------------------------------------------------
     # public entry points
@@ -266,7 +269,7 @@ class Engine:
                 return (yield from self._g0_two(N, ins, d))
             if top >= 1:
                 return (yield from self._trr0(N, ins))
-            return self.wdvv_primary(N, [k for _, k in ins])
+            return (yield from self.wdvv_primary(N, ins, d))
 
         if g == 1 and top >= 1:
             return (yield from self._genus1_trr(key))
@@ -311,12 +314,12 @@ class Engine:
         return dot(terms)
 
     # ------------------------------------------------------------------
-    # genus zero, two insertions.  `_compute` answers n = 0 and the
-    # closed-form one-point function (`_g0_one`) itself; this route holds
-    # the two stationary closed forms and otherwise raises the key by a
-    # divisor insertion through `_trr0`, then peels the divisor rule's
-    # correction terms, two-point keys of the same degree d that it yields
-    # like any route, so `Engine.cache` is their memo.
+    # genus zero, two insertions and primaries.  `_compute` answers n = 0
+    # and the closed-form one-point function (`_g0_one`) itself.  Both
+    # routes here raise a key by a divisor insertion through `_trr0`, as
+    # the divisor rule would loop back into them, and peel that rule's
+    # other terms, keys of the same degree d that they yield like any
+    # route, so `Engine.cache` is their memo.
 
     def _g0_two(self, N, ins, d):
         (m1, k1), (m2, k2) = ins
@@ -336,14 +339,28 @@ class Engine:
                 corr += yield InvariantKey(N, 0, tuple(sorted(new)))
         return (three - corr) / d
 
+    def wdvv_primary(self, N, ins, d):
+        """The route of a primary key, sorted `ins` with n >= 3: the triple
+        intersection at d = 0.  At d >= 1 `_compute` has taken the string
+        and divisor rules, so every class is >= 2, and with a the smallest
+        <tau_0(w^a) Y>_d = <tau_0(w) tau_1(w^(a-1)) Y>_d
+        - d <tau_1(w^(a-1)) Y>_d.  Its factors are yielded, so genus-0
+        evaluation never re-enters `_invariant`; only a chain bracket's
+        factor does, at a depth bounded by beta <= 3g - 2.  The name is
+        kept for the benchmark."""
+        if d == 0:
+            return Fraction(int(len(ins) == 3))
+        # Sorted, since every other insertion is tau_0 of a class >= 2.
+        lowered = ins[1:] + ((1, ins[0][1] - 1),)
+        three = yield from self._trr0(N, ((0, 1),) + lowered)
+        return three - d * (yield InvariantKey(N, 0, lowered))
+
     # ------------------------------------------------------------------
     # genus-0 topological recursion
 
     def _trr0(self, N, ins):
         """The genus-0 bracket of sorted `ins` (at least three insertions,
-        one a descendant) by the topological recursion.  The two-point
-        reductions call it directly for their three-point bracket, since the
-        divisor rule would loop back into them."""
+        one a descendant) by the topological recursion."""
         terms = []
         for k1, k2 in self.trr0_expand(N, 0, ins, self._pivot(ins)):
             # A zero left factor leaves the right one unread: it may be a
@@ -493,44 +510,6 @@ class Engine:
                     continue
                 terms.append((bb, gkey))
         return terms
-
-    # ------------------------------------------------------------------
-    # genus-0 primaries through the divisor rule and the genus-0 recursion
-
-    def wdvv_primary(self, N, class_exponents) -> Fraction:
-        """The genus-0 primary bracket of the given class exponents.  With
-        a >= 2 the smallest, n >= 3 insertions and d >= 1, the divisor rule
-        gives <tau_0(w^a) Y>_d = <tau_0(w) tau_1(w^(a-1)) Y>_d
-        - d <tau_1(w^(a-1)) Y>_d, the first bracket expanded on the spot by
-        the genus-0 recursion, as the divisor rule would lead it back here.
-        Other keys take the engine's own rules; factors are read through
-        `_invariant`.  The name is kept for the tests and the benchmark."""
-        N = exact_int(N)
-        exps = tuple(sorted(map(exact_int, class_exponents)))
-        if any(not 0 <= a <= N for a in exps):
-            raise ValueError("class exponent out of range")
-        memo_key = (N, exps)
-        if memo_key in self._wdvv_memo:
-            return self._wdvv_memo[memo_key]
-        key = InvariantKey(N, 0, tuple((0, a) for a in exps))
-        d, n = key.degree(), len(exps)
-        if not d:
-            # No degree fits, or the triple intersection at degree zero.
-            val = Fraction(int(d == 0 and n == 3))
-        elif n <= 2 or exps[0] <= 1:
-            val = self._invariant(key)
-        else:
-            # Sorted, since every other insertion is tau_0 of a class >= 2.
-            lowered = key.ins[1:] + ((1, exps[0] - 1),)
-            terms = []
-            for k1, k2 in self.trr0_expand(N, 0, ((0, 1),) + lowered, n):
-                v1 = self._invariant(k1)
-                if v1:
-                    terms.append((v1, self._invariant(k2)))
-            terms.append((-d, self._invariant(InvariantKey(N, 0, lowered))))
-            val = dot(terms)
-        self._wdvv_memo[memo_key] = val
-        return val
 
     # ------------------------------------------------------------------
     # the non-quasi-polynomial witness

@@ -177,29 +177,39 @@ def point_invariant_closed(g: int, m, d: int) -> Fraction:
 
 def point_invariant_string(g: int, m, d: int) -> Fraction:
     g, m, d = _point_check(g, m, d)
-    n = len(m)
-    if sum(m) != 3 * g - 3 + n + d:
+    if sum(m) != 3 * g - 3 + len(m) + d:
         return Fraction(0)
-    key = (g, tuple(sorted(m)), d)
-    if key in _POINT_CACHE:
-        return _POINT_CACHE[key]
-    if d == 0:
-        val = psi_intersection(g, m)
-    elif not any(m):
-        # All levels zero: the string step below would forget down to an
-        # unstable space; the integrand is 1 and the space is a point.
-        val = Fraction(1, factorial(d))
-    else:
-        ms = key[1]
-        val = Fraction(0)
-        for i in range(n):
-            if ms[i] == 0:
+    # The string equation forgets one extra point at a time, so the chain
+    # is d keys deep: it runs on an explicit stack over _POINT_CACHE, each
+    # key staying on it until the keys one point down are cached.
+    top = (g, tuple(sorted(m)), d)
+    stack = [top]
+    while stack:
+        key = stack[-1]
+        if key in _POINT_CACHE:
+            stack.pop()
+            continue
+        _, ms, d = key
+        if d == 0:
+            val = psi_intersection(g, ms)
+        elif not any(ms):
+            # All levels zero: the string step would forget down to an
+            # unstable space; the integrand is 1 and the space is a point.
+            val = Fraction(1, factorial(d))
+        else:
+            subs = [
+                (g, tuple(sorted(ms[:i] + (x - 1,) + ms[i + 1 :])), d - 1)
+                for i, x in enumerate(ms)
+                if x
+            ]
+            missing = [sub for sub in subs if sub not in _POINT_CACHE]
+            if missing:
+                stack.extend(missing)
                 continue
-            sub = ms[:i] + (ms[i] - 1,) + ms[i + 1 :]
-            val += point_invariant_string(g, sub, d - 1)
-        val /= d
-    _POINT_CACHE[key] = val
-    return val
+            val = sum(_POINT_CACHE[sub] for sub in subs) / d
+        _POINT_CACHE[key] = val
+        stack.pop()
+    return _POINT_CACHE[top]
 
 
 def n0_polynomial(g: int, n: int) -> QuasiPoly:

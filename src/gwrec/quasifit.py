@@ -353,14 +353,16 @@ class StationaryFamily:
         ))
 
 
+# One family per (N, g, nvars), for the engine that asked last: a family
+# holds its engine, so keeping one per engine would keep every engine alive.
 _FAMILIES: dict = {}
 
 
 def stationary_family(N, g, nvars, engine: Engine = DEFAULT_ENGINE):
-    key = (id(engine), N, g, nvars)
-    if key not in _FAMILIES:
-        _FAMILIES[key] = StationaryFamily(N, g, nvars, engine)
-    return _FAMILIES[key]
+    fam = _FAMILIES.get((N, g, nvars))
+    if fam is None or fam.engine is not engine:
+        fam = _FAMILIES[N, g, nvars] = StationaryFamily(N, g, nvars, engine)
+    return fam
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,12 @@ import json
 import runpy
 import sys
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from gwrec.algebra import QuasiPoly, SymRat
+from gwrec import moduli
+from gwrec.algebra import QuasiPoly, SymRat, parse_rat
 from gwrec.cli import (
     CacheConflictError,
     Config,
@@ -335,6 +337,12 @@ class TestPsiN0Commands:
         rc, recs, _ = run(capsys, "n0", "--g", "1", "--point", "2", "--d", "1")
         assert rc == 0
         assert recs[0]["value"] == "1/24"
+
+    def test_point_invariant_of_many_extra_points(self, capsys, monkeypatch):
+        monkeypatch.setattr(moduli, "_POINT_CACHE", {})
+        rc, recs, _ = run(capsys, "n0", "--g", "0", "--point", "2000,0,0", "--d", "2000")
+        assert rc == 0
+        assert parse_rat(recs[0]["value"]) == Fraction(1, factorial(2000))
 
 
 class TestCacheIO:

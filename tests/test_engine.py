@@ -642,59 +642,60 @@ class TestGenusGRecursionAtN0:
                 assert got == want, (g, m, w)
 
 
+def _primary(engine, N, exps):
+    return engine.invariant(N, 0, [(0, a) for a in exps])
+
+
 class TestWdvv:
     def test_classical_plane_counts(self):
         # rational curves of degree d through 3d - 1 points
-        assert E.wdvv_primary(2, [2] * 2) == 1
-        assert E.wdvv_primary(2, [2] * 5) == 1
-        assert E.wdvv_primary(2, [2] * 8) == 12
-        assert E.wdvv_primary(2, [2] * 11) == 620
+        assert _primary(E, 2, [2] * 2) == 1
+        assert _primary(E, 2, [2] * 5) == 1
+        assert _primary(E, 2, [2] * 8) == 12
+        assert _primary(E, 2, [2] * 11) == 620
 
     def test_space_counts(self):
         # lines in P^3: through 2 points; through a point meeting two lines;
         # meeting four general lines
-        assert E.wdvv_primary(3, [3, 3]) == 1
-        assert E.wdvv_primary(3, [3, 2, 2]) == 1
-        assert E.wdvv_primary(3, [2, 2, 2, 2]) == 2
+        assert _primary(E, 3, [3, 3]) == 1
+        assert _primary(E, 3, [3, 2, 2]) == 1
+        assert _primary(E, 3, [2, 2, 2, 2]) == 2
         # conics through four general points do not exist
-        assert E.wdvv_primary(3, [3, 3, 3, 3]) == 0
+        assert _primary(E, 3, [3, 3, 3, 3]) == 0
         # conics meeting eight general lines
-        assert E.wdvv_primary(3, [2] * 8) == 92
+        assert _primary(E, 3, [2] * 8) == 92
 
     def test_line_three_point(self):
-        assert E.wdvv_primary(1, [1, 1, 1]) == 1
+        assert _primary(E, 1, [1, 1, 1]) == 1
 
     def test_line_one_point(self):
         # <pt>_1 on the line: the one degree-1 map through a point
-        assert E.wdvv_primary(1, [1]) == 1
+        assert _primary(E, 1, [1]) == 1
 
     def test_fractional_degree_is_zero(self):
-        assert E.wdvv_primary(1, [0]) == 0
+        assert _primary(E, 1, [0]) == 0
 
     def test_divisor_padding(self):
         # <pt, pt, w> = d <pt, pt> = 1 on the plane
-        assert E.wdvv_primary(2, [2, 2, 1]) == 1
+        assert _primary(E, 2, [2, 2, 1]) == 1
 
-    def test_agrees_with_dispatch(self):
-        for N, exps in [
-            (2, (2, 2, 2, 2, 2)), (1, (1, 1, 1)), (3, (3, 2, 2)),
-            (1, ()), (2, ()), (3, ()),
-        ]:
-            assert E.invariant(N, 0, [(0, a) for a in exps]) == E.wdvv_primary(
-                N, exps
-            )
+    def test_degree_zero(self):
+        # the triple intersection; four classes >= 2 of degree 0 need N >= 7
+        # and give nothing
+        assert _primary(Engine(), 3, [0, 1, 2]) == 1
+        assert _primary(Engine(), 7, [2, 2, 2, 2]) == 0
 
     def test_non_primary_rejected(self):
         with pytest.raises(ValueError):
-            E.wdvv_primary(2, [3])
+            _primary(E, 2, [3])
 
     def test_non_integral_entry_is_rejected(self):
         # 2.7 would otherwise be read as 2: the one conic through five points
         with pytest.raises(ValueError, match="2.7"):
-            Engine().wdvv_primary(2, [2.7, 2, 2, 2, 2])
+            _primary(Engine(), 2, [2.7, 2, 2, 2, 2])
         with pytest.raises(ValueError, match="2.5"):
-            Engine().wdvv_primary(2.5, [2, 2, 2, 2, 2])
-        assert Engine().wdvv_primary(Fraction(2), [Fraction(2), 2, 2, 2, 2]) == 1
+            _primary(Engine(), 2.5, [2, 2, 2, 2, 2])
+        assert _primary(Engine(), Fraction(2), [Fraction(2), 2, 2, 2, 2]) == 1
 
 
 # sha256 of _primary_record(): one line per multiset of classes of P^1..P^4,
@@ -705,17 +706,17 @@ GOLDEN_PRIMARIES = "69a4ba2b94c957ac7afefcaf8389f78e80b46e6922a2a70bf16014495562
 
 
 def _primary_record():
-    """Lines "N;exps;wdvv_primary;invariant": `wdvv_primary` on one engine
-    per N, in enumeration order, and `invariant` on a fresh engine."""
+    """Lines "N;exps;shared;fresh": each primary on one engine per N, in
+    enumeration order, and on a fresh engine."""
     lines = []
     for N in range(1, 5):
         shared = Engine()
         for n in range(9 if N <= 2 else 8):
             for exps in combinations_with_replacement(range(N + 1), n):
-                w = shared.wdvv_primary(N, exps)
-                v = Engine().invariant(N, 0, [(0, a) for a in exps])
-                assert not v.atoms
-                lines.append(f"{N};{','.join(map(str, exps))};{w};{v.scalar}")
+                w = _primary(shared, N, exps)
+                v = _primary(Engine(), N, exps)
+                assert not w.atoms and not v.atoms
+                lines.append(f"{N};{','.join(map(str, exps))};{w.scalar};{v.scalar}")
     return lines
 
 
@@ -746,8 +747,8 @@ class TestPrimariesThroughRecursion:
         shared = Engine()
         for d, want in _kontsevich(6).items():
             pts = [2] * (3 * d - 1)
-            assert shared.wdvv_primary(2, pts) == want, d
-            assert Engine().invariant(2, 0, [(0, 2)] * len(pts)) == want, d
+            assert _primary(shared, 2, pts) == want, d
+            assert _primary(Engine(), 2, pts) == want, d
 
     def test_order_of_asking_does_not_matter(self):
         # The recursion of <tau_1(w) pt^4>_2 has a term whose left factor is
@@ -770,7 +771,7 @@ class TestPrimariesThroughRecursion:
             a, Y = exps[0], [(0, y) for y in exps[1:]]
             raised = Engine().invariant(N, 0, [(0, 1), (1, a - 1)] + Y)
             lowered = Engine().invariant(N, 0, [(1, a - 1)] + Y)
-            assert Engine().wdvv_primary(N, exps) == raised - d * lowered, (N, exps)
+            assert _primary(Engine(), N, exps) == raised - d * lowered, (N, exps)
 
 
 class TestCounterexample:
@@ -838,6 +839,18 @@ class TestExplicitStack:
         finally:
             sys.setrecursionlimit(limit)
         assert got == 5001
+
+    def test_primary_chain_needs_no_interpreter_depth(self):
+        # <(w^2)^16>_4 on P^3, rational quartics meeting 16 lines (Kontsevich-
+        # Manin), under a limit 30 frames above the caller's: each primary
+        # in the chain reads the next through the stack, not a nested call.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_frame_depth() + 30)
+        try:
+            got = _primary(Engine(), 3, [2] * 16)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == 383306880
 
     def test_recursion_limit_untouched(self):
         limit = sys.getrecursionlimit()

@@ -2,9 +2,11 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial
 
 import pytest
 
+from gwrec import moduli
 from gwrec.moduli import (
     UnstableKeyError,
     n0_polynomial,
@@ -118,6 +120,11 @@ class TestPointInvariant:
     def test_unstable(self):
         with pytest.raises(UnstableKeyError):
             point_invariant(0, (0, 0), 0)
+
+    def test_long_string_chain_at_the_default_recursion_limit(self, monkeypatch):
+        # The string route forgets the 2000 extra points one at a time.
+        monkeypatch.setattr(moduli, "_POINT_CACHE", {})
+        assert point_invariant(0, (2000, 0, 0), 2000) == Fraction(1, factorial(2000))
 
     def test_non_integral_level_is_rejected(self):
         # 1.5 would otherwise be read as 1

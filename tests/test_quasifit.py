@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, prod
@@ -380,6 +382,16 @@ class TestStationaryFamily:
         D = FitSpec(2, 1, 5).degree_bound
         StationaryFamily(2, 1, 5, eng).value((-2, -1, 2, 4, 7))
         assert eng.calls == comb(D + 3, 2) == 28
+
+    def test_a_family_does_not_keep_its_engine_alive(self):
+        first = Engine()
+        assert stationary_family(1, 0, 2, first) is stationary_family(1, 0, 2, first)
+        ref = weakref.ref(first)
+        del first
+        second = Engine()
+        assert stationary_family(1, 0, 2, second).engine is second
+        gc.collect()
+        assert ref() is None
 
     def test_non_integral_argument_is_rejected(self):
         fam = stationary_family(1, 0, 2)
