@@ -16,19 +16,20 @@ negative evaluates to zero.
 Keys are tuples (N, g, ins).  Each recursion route is a generator that
 yields the keys it needs and receives their values; one loop runs the
 routes on an explicit stack, so the depth of a recursion chain is bounded
-by memory, not by the interpreter's recursion limit.  Genus-0 evaluation,
-primaries included, never re-enters `Engine._invariant`; only a chain
-bracket's factor does, at a depth bounded by beta <= 3g - 2.
+by memory, not by the interpreter's recursion limit.  No route re-enters
+`Engine._invariant`: the genus-g route reaches its genus-0 chain brackets
+through `yield from`, at a depth bounded by beta <= 3g - 2, and they yield
+their factor keys like any route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import factorial
 from typing import NamedTuple
 
-from .algebra import SymRat, bipartitions, c_factor, compositions, dot, exact_int
+from .algebra import SymRat, bipartitions, c_factor, dot, exact_int
 
 
 class InvariantKey(NamedTuple):
@@ -186,10 +187,10 @@ class Engine:
     """Memoized evaluator on an explicit stack.  `_compute(key)` returns the
     key's route as a generator that yields the keys it needs; `_invariant`
     answers each from the cache or pushes it, and never recurses through
-    the interpreter.  Genus-0 evaluation never re-enters `_invariant`; only
-    a chain bracket's factor (`_chain_factor`) does, at a depth bounded by
-    beta <= 3g - 2.  All methods are pure; the caches only ever receive
-    idempotent writes, so concurrent use is safe."""
+    the interpreter.  No route re-enters `_invariant`; chain brackets are
+    memoized in `_bb_memo`, apart from the key cache.  All methods are
+    pure; the caches only ever receive idempotent writes, so concurrent use
+    is safe."""
 
     def __init__(self):
         self.cache: dict = {}
@@ -268,17 +269,14 @@ class Engine:
             if n == 2:
                 return (yield from self._g0_two(N, ins, d))
             if top >= 1:
-                return (yield from self._trr0(N, ins))
+                return (yield from self.trr0_expand(N, ins))
             return (yield from self.wdvv_primary(N, ins, d))
 
         if g == 1 and top >= 1:
             return (yield from self._genus1_trr(key))
 
         if g >= 2 and top >= 3 * g - 1:
-            terms = []
-            for bb, gkey in self.trrg_expand(N, g, ins, self._pivot(ins)):
-                terms.append((bb, (yield gkey)))
-            return dot(terms)
+            return (yield from self.trrg_expand(N, g, ins, self._pivot(ins)))
 
         # Unreachable by the implemented recursions: keep it symbolic.
         return SymRat.atom(key.canonical())
@@ -316,8 +314,8 @@ class Engine:
     # ------------------------------------------------------------------
     # genus zero, two insertions and primaries.  `_compute` answers n = 0
     # and the closed-form one-point function (`_g0_one`) itself.  Both
-    # routes here raise a key by a divisor insertion through `_trr0`, as
-    # the divisor rule would loop back into them, and peel that rule's
+    # routes here raise a key by a divisor insertion through `trr0_expand`,
+    # as the divisor rule would loop back into them, and peel that rule's
     # other terms, keys of the same degree d that they yield like any
     # route, so `Engine.cache` is their memo.
 
@@ -331,7 +329,7 @@ class Engine:
         # a primary and a descendant when m1 == 0.
         if m1 == 0 and k2 == N:
             return Fraction(1, c_factor(N + 1, m2) * d)
-        three = yield from self._trr0(N, tuple(sorted(((0, 1),) + ins)))
+        three = yield from self.trr0_expand(N, tuple(sorted(((0, 1),) + ins)))
         corr = Fraction(0)
         for i, (m, k) in enumerate(ins):
             if m >= 1 and k < N:
@@ -344,48 +342,37 @@ class Engine:
         intersection at d = 0.  At d >= 1 `_compute` has taken the string
         and divisor rules, so every class is >= 2, and with a the smallest
         <tau_0(w^a) Y>_d = <tau_0(w) tau_1(w^(a-1)) Y>_d
-        - d <tau_1(w^(a-1)) Y>_d.  Its factors are yielded, so genus-0
-        evaluation never re-enters `_invariant`; only a chain bracket's
-        factor does, at a depth bounded by beta <= 3g - 2.  The name is
-        kept for the benchmark."""
+        - d <tau_1(w^(a-1)) Y>_d.  Its factors are yielded like any
+        route's, as no route re-enters `_invariant`.  The name is kept for
+        the benchmark."""
         if d == 0:
             return Fraction(int(len(ins) == 3))
         # Sorted, since every other insertion is tau_0 of a class >= 2.
         lowered = ins[1:] + ((1, ins[0][1] - 1),)
-        three = yield from self._trr0(N, ((0, 1),) + lowered)
+        three = yield from self.trr0_expand(N, ((0, 1),) + lowered)
         return three - d * (yield InvariantKey(N, 0, lowered))
 
     # ------------------------------------------------------------------
     # genus-0 topological recursion
 
-    def _trr0(self, N, ins):
-        """The genus-0 bracket of sorted `ins` (at least three insertions,
-        one a descendant) by the topological recursion."""
+    def trr0_expand(self, N, ins):
+        """The route of the genus-0 bracket of sorted `ins`, at least three
+        insertions and one a descendant, by the topological recursion
+        pivoting on `_pivot(ins)`: the two co-pivots are the first two
+        remaining insertions in canonical order, every splitting of the
+        rest is distributed over the two factors, and the splitting class
+        is forced by dimension.  The name is kept for the benchmark."""
+        piv = self._pivot(ins)
+        m, k = ins[piv]
+        rest = _without(ins, piv)
         terms = []
-        for k1, k2 in self.trr0_expand(N, 0, ins, self._pivot(ins)):
+        for k1, k2 in _splits(N, 0, ((m - 1, k),), rest[:2], rest[2:]):
             # A zero left factor leaves the right one unread: it may be a
             # primary whose own evaluation is waiting on this bracket.
             v1 = yield k1
             if v1:
                 terms.append((v1, (yield k2)))
         return dot(terms)
-
-    def trr0_expand(self, N, g, insertions, pivot_index):
-        """The (k1, k2) key pairs of the genus-0 recursion pivoting on the
-        given insertion: the bracket is the sum of the products of their
-        values.  The two co-pivots are the first two remaining insertions in
-        canonical order; every splitting of the rest is distributed over the
-        two factors and the splitting class is forced by dimension."""
-        ins = tuple(sorted((exact_int(m), exact_int(k)) for m, k in insertions))
-        if g != 0:
-            raise ValueError("trr0_expand is genus-0 only")
-        if len(ins) < 3:
-            raise ValueError("trr0_expand needs at least three insertions")
-        m, k = ins[pivot_index]
-        if m < 1:
-            raise ValueError("pivot has zero descendant level")
-        rest = _without(ins, pivot_index)
-        return list(_splits(N, 0, ((m - 1, k),), rest[:2], rest[2:]))
 
     # ------------------------------------------------------------------
     # genus-1 topological recursion
@@ -408,93 +395,48 @@ class Engine:
     # ------------------------------------------------------------------
     # genus-g topological recursion and its genus-0 chain brackets
 
-    def beta_bracket(self, N, first_class, pivot, extras, beta) -> Fraction:
-        """The genus-0 chain bracket: first insertion tau_0(w^first_class),
-        distinguished descendant tau_m(w^k) given by pivot=(m, k), extras
-        distributed over the chain factors, chain depth controlled by beta.
-
-        Computed by both the alternating-sum formula and the shift/subtract
-        recursion; the two must agree and the shared value is returned.
-        """
-        if beta < 0:
-            raise ValueError("beta must be >= 0")
-        # The chain factors' keys are built from these without coercion.
-        first_class, m, k = map(exact_int, (first_class, pivot[0], pivot[1]))
-        extras = tuple(sorted((exact_int(a), exact_int(b)) for a, b in extras))
+    def beta_bracket(self, N, first_class, pivot, extras, beta):
+        """The route of the genus-0 chain bracket: first insertion
+        tau_0(w^first_class), distinguished descendant tau_m(w^k) given by
+        pivot=(m, k), the sorted tuple `extras` distributed over the chain
+        factors, chain depth controlled by beta.  At beta = 0 it is the
+        bracket <tau_0(w^first_class) tau_m(w^k) extras>_0; above, the
+        bracket with the pivot raised a level, minus, over each split of
+        the extras into (L, R), the factor <tau_m(w^k) L tau_0(w^e)>_0
+        times the bracket with pivot tau_0(w^(N-e)), extras R and beta - 1.
+        Values live in `_bb_memo`, never in `Engine.cache`, whose records
+        `save_cache` writes out.  The name is kept for the benchmark."""
+        m, k = pivot
         memo_key = (N, first_class, m, k, extras, beta)
-        if memo_key in self._bb_memo:
-            return self._bb_memo[memo_key]
-        alt = self._bb_sum(N, first_class, m, k, extras, beta)
-        rec = self._bb_rec(N, first_class, m, k, extras, beta)
-        if alt != rec:
-            raise AssertionError(
-                f"beta-bracket routes disagree at {memo_key}: {alt} vs {rec}"
-            )
-        self._bb_memo[memo_key] = alt
-        return alt
-
-    def _bb_sum(self, N, first_class, m, k, extras, beta) -> Fraction:
-        total = Fraction(0)
-        ne = len(extras)
-        for kk in range(1, beta + 2):
-            for comp in compositions(beta + 1 - kk, kk):
-                for assign in product(range(kk), repeat=ne):
-                    groups = [[] for _ in range(kk)]
-                    for idx, grp in zip(range(ne), assign):
-                        groups[grp].append(extras[idx])
-                    prod = Fraction(1)
-                    c = first_class
-                    ok = True
-                    for i in range(kk):
-                        if i < kk - 1:
-                            base = [(0, c)] + groups[i]
-                            e = _forced_class(N, 0, [(comp[i], 0)] + base)
-                            factor_ins = base + [(comp[i], e)]
-                            nxt = N - e
-                        else:
-                            factor_ins = [(0, c), (comp[i] + m, k)] + groups[i]
-                            nxt = None
-                        v = self._chain_factor(N, factor_ins)
-                        if v == 0:
-                            ok = False
-                            break
-                        prod *= v
-                        c = nxt
-                    if ok:
-                        total += (-1) ** (kk - 1) * prod
-        return total
-
-    def _bb_rec(self, N, first_class, m, k, extras, beta) -> Fraction:
+        val = self._bb_memo.get(memo_key)
+        if val is not None:
+            return val
         if beta == 0:
-            return self._chain_factor(N, [(0, first_class), (m, k), *extras])
-        total = self.beta_bracket(N, first_class, (m + 1, k), extras, beta - 1)
-        for left, right in bipartitions(extras):
-            head = [(m, k)] + left
-            e = _forced_class(N, 0, head + [(0, 0)])
-            f = self._chain_factor(N, head + [(0, e)])
-            if f != 0:
-                total -= f * self.beta_bracket(
-                    N, first_class, (0, N - e), tuple(right), beta - 1
-                )
-        return total
-
-    def _chain_factor(self, N, ins) -> Fraction:
-        """The genus-0 chain factor with insertions `ins`."""
-        return self._invariant(InvariantKey(N, 0, tuple(sorted(ins))))
-
-    def trrg_expand(self, N, g, insertions, pivot_index):
-        """The (bb, gkey) terms of the genus-g recursion: a nonzero chain
-        bracket, a Fraction, times the value of a genus-g key, over the
-        split of the contact order 3g-2 and over all distributions of the
-        remaining insertions."""
-        ins = tuple(sorted((exact_int(m), exact_int(k)) for m, k in insertions))
-        if g < 1:
-            raise ValueError("trrg_expand needs genus >= 1")
-        m, k = ins[pivot_index]
-        if m < 3 * g - 1:
-            raise ValueError(
-                f"pivot level {m} below the genus-{g} threshold {3 * g - 1}"
+            ins = tuple(sorted(((0, first_class), (m, k)) + extras))
+            val = yield InvariantKey(N, 0, ins)
+        else:
+            val = yield from self.beta_bracket(
+                N, first_class, (m + 1, k), extras, beta - 1
             )
+            for left, right in bipartitions(extras):
+                head = [(m, k)] + left
+                e = _forced_class(N, 0, head + [(0, 0)])
+                f = yield InvariantKey(N, 0, tuple(sorted(head + [(0, e)])))
+                if f:
+                    val -= f * (yield from self.beta_bracket(
+                        N, first_class, (0, N - e), tuple(right), beta - 1
+                    ))
+        # Plain assignment, not setdefault: the benchmark's tracer counts
+        # the memo's inserts.
+        self._bb_memo[memo_key] = val
+        return val
+
+    def trrg_expand(self, N, g, ins, pivot_index):
+        """The route of a genus-g key whose pivot is at level >= 3g - 1: a
+        nonzero chain bracket times the value of a genus-g key, summed over
+        the split of the contact order 3g-2 and over all distributions of
+        the remaining insertions.  The name is kept for the benchmark."""
+        m, k = ins[pivot_index]
         rest = _without(ins, pivot_index)
         mm = m - (3 * g - 1)
         terms = []
@@ -505,11 +447,10 @@ class Engine:
                 gkey = InvariantKey(N, g, tuple(sorted(right + [(alpha, j)])))
                 if gkey.degree() is None:
                     continue
-                bb = self.beta_bracket(N, N - j, (mm, k), left, beta)
-                if bb == 0:
-                    continue
-                terms.append((bb, gkey))
-        return terms
+                bb = yield from self.beta_bracket(N, N - j, (mm, k), tuple(left), beta)
+                if bb:
+                    terms.append((bb, (yield gkey)))
+        return dot(terms)
 
     # ------------------------------------------------------------------
     # the non-quasi-polynomial witness

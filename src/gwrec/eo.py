@@ -614,8 +614,8 @@ def eo_string_dilaton_check(
     claim = f"eo-string-dilaton ({g},{n}) m={m}"
     base = _xm_over_xp(m)  # rejects m outside {0, 1} before any recursion
     curve = curve or SpectralCurve()
+    lo = curve.omega(g, n)  # rejects an unstable (g, n) before (g, n + 1)
     hi = curve.omega(g, n + 1)
-    lo = curve.omega(g, n)
     # The last slot of hi reads each weight through its highest pole order.
     weights = {alpha: _string_weights(alpha, hi.max_order()) for alpha in (1, -1)}
 

@@ -318,6 +318,14 @@ class TestVerifyCommands:
         assert recs == []
         assert err.startswith("error:") and "stable range" in err
 
+    def test_unstable_eo_string_names_the_pair_asked_for(self, capsys):
+        # the check also reads (g, n + 1) = (0, 2), which the message must
+        # not name in place of (0, 1)
+        rc, recs, err = run(capsys, "verify", "eo-string", "--g", "0", "--n", "1")
+        assert rc == 2
+        assert recs == []
+        assert "(g, n) = (0, 1) is not in the stable range" in err
+
 
 class TestPsiN0Commands:
     def test_psi(self, capsys):

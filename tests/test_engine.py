@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from gwrec.algebra import SymRat, c_factor, dot
+from gwrec.algebra import SymRat, c_factor, compositions, dot
 from gwrec.cli import save_cache
 from gwrec.engine import (
     DEFAULT_ENGINE,
@@ -195,8 +195,7 @@ class TestOnePointClosedForm:
         m = (N + 1) * d + N - 2 - a
         assume(1 <= m <= 30)
         eng = Engine()
-        pairs = eng.trr0_expand(N, 0, [(0, 1), (0, 1), (m, a)], 2)
-        three = dot((eng._invariant(k1), eng._invariant(k2)) for k1, k2 in pairs)
+        three = _run(eng.trr0_expand(N, ((0, 1), (0, 1), (m, a))), eng)
         y = _g0_one(N, (m - 1, a + 1), d) if a < N else 0
         z = _g0_one(N, (m - 2, a + 2), d) if a + 2 <= N and m >= 2 else 0
         assert _g0_one(N, (m, a), d) == (three - 2 * d * y - z) / d**2
@@ -385,6 +384,33 @@ class TestPostHocIdentities:
             assert lhs == (2 * g - 2 + n) * E.invariant(N, g, ins)
 
 
+def _run(route, engine):
+    """Run one engine route to its value, answering each key it yields
+    through `engine._invariant`."""
+    val = None
+    while True:
+        try:
+            key = route.send(val)
+        except StopIteration as done:
+            return done.value
+        val = engine._invariant(key)
+
+
+def _trr0_pairs(N, ins, piv):
+    """The (k1, k2) key pairs of the genus-0 recursion pivoting on
+    ins[piv]: the bracket is the sum of the products of their values."""
+    m, k = ins[piv]
+    rest = ins[:piv] + ins[piv + 1 :]
+    return list(_splits(N, 0, ((m - 1, k),), rest[:2], rest[2:]))
+
+
+def _pair_sum(N, pairs):
+    return sum(
+        E.invariant(N, 0, k1.ins).rational() * E.invariant(N, 0, k2.ins).rational()
+        for k1, k2 in pairs
+    )
+
+
 class TestTrr0Expand:
     def test_sum_equals_invariant(self):
         cases = [
@@ -399,80 +425,78 @@ class TestTrr0Expand:
         for N, ins in cases:
             key = tuple(sorted(ins))
             piv = max(range(len(key)), key=lambda i: key[i][0])
-            total = Fraction(0)
-            for k1, k2 in E.trr0_expand(N, 0, key, piv):
-                total += (
-                    E.invariant(N, 0, k1.ins).rational()
-                    * E.invariant(N, 0, k2.ins).rational()
-                )
-            assert total == E.invariant(N, 0, ins).rational(), (N, ins)
+            want = E.invariant(N, 0, ins)
+            assert _pair_sum(N, _trr0_pairs(N, key, piv)) == want, (N, ins)
+            eng = Engine()
+            assert _run(eng.trr0_expand(N, key), eng) == want, (N, ins)
 
     def test_pivot_choice_does_not_matter(self):
         ins = tuple(sorted([(3, 1), (2, 1), (1, 1)]))
-        sums = []
-        for piv in range(3):
-            total = Fraction(0)
-            for k1, k2 in E.trr0_expand(1, 0, ins, piv):
-                total += (
-                    E.invariant(1, 0, k1.ins).rational()
-                    * E.invariant(1, 0, k2.ins).rational()
-                )
-            sums.append(total)
-        assert len(set(sums)) == 1
-
-    def test_pivot_level_zero_rejected(self):
-        with pytest.raises(ValueError):
-            E.trr0_expand(1, 0, [(0, 1), (2, 1), (0, 1)], 0)
-
-    def test_non_integral_insertion_is_rejected(self):
-        # 2.7 would otherwise be read as a level-2 pivot
-        with pytest.raises(ValueError, match="2.7"):
-            E.trr0_expand(1, 0, [(0, 1), (0, 1), (2.7, 1)], 2)
-        ins = [(0, 1), (0, 1), (2, 1)]
-        assert E.trr0_expand(1, 0, [(0, Fraction(1)), *ins[1:]], 2) == E.trr0_expand(
-            1, 0, ins, 2
-        )
+        sums = {_pair_sum(1, _trr0_pairs(1, ins, piv)) for piv in range(3)}
+        assert len(sums) == 1
 
     def test_dimension_filter_omits_splittings(self):
         ins = tuple(sorted([(2, 1), (0, 1), (0, 1), (2, 1)]))
         piv = max(range(4), key=lambda i: ins[i][0])
-        terms = E.trr0_expand(1, 0, ins, piv)
+        terms = _trr0_pairs(1, ins, piv)
         # at most one splitting class survives per subset of the free slot
         assert 0 < len(terms) <= 2
-        total = Fraction(0)
-        for k1, k2 in terms:
-            total += (
-                E.invariant(1, 0, k1.ins).rational()
-                * E.invariant(1, 0, k2.ins).rational()
-            )
-        assert total == E.invariant(1, 0, ins).rational()
+        assert _pair_sum(1, terms) == E.invariant(1, 0, ins)
+
+
+def _ref_bracket(N, first_class, pivot, extras, beta, engine):
+    """The genus-0 chain bracket as the alternating sum over chains of kk
+    factors: the contact order beta + 1 - kk spread over the factors by a
+    composition, the extras assigned to them in every way, and the class
+    joining two factors forced by dimension.  The last factor carries the
+    pivot; each factor is read through `engine._invariant`."""
+    m, k = pivot
+    total = Fraction(0)
+    for kk in range(1, beta + 2):
+        for comp in compositions(beta + 1 - kk, kk):
+            for assign in product(range(kk), repeat=len(extras)):
+                groups = [[] for _ in range(kk)]
+                for extra, grp in zip(extras, assign):
+                    groups[grp].append(extra)
+                prod = Fraction(1)
+                c = first_class
+                for i in range(kk):
+                    if i < kk - 1:
+                        base = [(0, c)] + groups[i]
+                        e = _forced_class(N, 0, [(comp[i], 0)] + base)
+                        ins, c = base + [(comp[i], e)], N - e
+                    else:
+                        ins = [(0, c), (comp[i] + m, k)] + groups[i]
+                    prod *= engine._invariant(InvariantKey.make(N, 0, ins))
+                    if not prod:
+                        break
+                total += (-1) ** (kk - 1) * prod
+    return total
 
 
 class TestBetaBracket:
     def test_beta_zero_is_two_point(self):
-        v = E.beta_bracket(1, 0, (3, 1), (), 0)
+        v = _run(E.beta_bracket(1, 0, (3, 1), (), 0), E)
         assert v == E.invariant(1, 0, [(0, 0), (3, 1)]).rational()
 
     def test_routes_agree_with_extras(self):
-        # both internal routes are asserted equal; exercise a spread of keys
+        # the shift/subtract route against the alternating sum over chains:
+        # on a spread of keys, on a fresh engine so that every bracket is
+        # computed, then at every bracket the genus-2 golden keys reach
+        eng = Engine()
         for N in (1, 2):
             for beta in range(0, 4):
                 for c in range(N + 1):
-                    E.beta_bracket(N, c, (2, N), ((0, N),), beta)
-                    E.beta_bracket(N, c, (1, N), ((1, N), (0, 1)), beta)
-
-    def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError):
-            E.beta_bracket(1, 0, (1, 1), (), -1)
-
-    def test_non_integral_entry_is_rejected(self):
-        # each of these would otherwise be truncated to an int
-        for args in [(0.5, (1, 1), ()), (0, (1.5, 1), ()), (0, (1, 1), ((0, 1.2),))]:
-            with pytest.raises(ValueError, match="non-integral"):
-                E.beta_bracket(1, *args, 1)
-        assert E.beta_bracket(1, Fraction(0), (Fraction(1), 1), (), 1) == E.beta_bracket(
-            1, 0, (1, 1), (), 1
-        )
+                    for pivot, extras in [((2, N), ((0, N),)), ((1, N), ((0, 1), (1, N)))]:
+                        got = _run(eng.beta_bracket(N, c, pivot, extras, beta), eng)
+                        want = _ref_bracket(N, c, pivot, extras, beta, eng)
+                        assert got == want, (N, c, pivot, extras, beta)
+        eng = Engine()
+        for N, g, ins in _golden_keys_genus2():
+            eng.invariant(N, g, ins)
+        assert len(eng._bb_memo) == 1568
+        for (N, c, m, k, extras, beta), val in eng._bb_memo.items():
+            assert val == _ref_bracket(N, c, (m, k), extras, beta, eng)
 
     def test_depth_one_chain_is_the_two_point_term(self):
         # at beta = 3g-2 the depth-one chain of the bracket is the plain
@@ -482,9 +506,9 @@ class TestBetaBracket:
         m = 8 - (3 * g - 1)
         direct = E.invariant(N, 0, [(0, 0), (m + beta, 1)]).rational()
         assert direct != 0
-        remainder = E.beta_bracket(N, 0, (m, 1), (), beta) - direct
+        bracket = _run(E.beta_bracket(N, 0, (m, 1), (), beta), E)
         # the remaining chains all start deeper, so they carry a sign
-        assert remainder != E.beta_bracket(N, 0, (m, 1), (), beta)
+        assert bracket - direct != bracket
 
 
 class TestTrrgExpand:
@@ -498,21 +522,8 @@ class TestTrrgExpand:
             piv = max(range(len(key)), key=lambda i: key[i][0])
             if key[piv][0] < 2:
                 continue
-            total = SymRat(0)
-            for bb, gkey in E.trrg_expand(N, 1, key, piv):
-                assert type(bb) is Fraction
-                total = total + bb * E.invariant(gkey.N, 1, gkey.ins)
-            assert total == E.invariant(N, 1, ins), (N, ins)
-
-    def test_threshold_error(self):
-        with pytest.raises(ValueError):
-            E.trrg_expand(1, 2, [(4, 1)], 0)
-
-    def test_non_integral_insertion_is_rejected(self):
-        # 4.5 would otherwise be read as a level-4 pivot
-        with pytest.raises(ValueError, match="4.5"):
-            E.trrg_expand(1, 1, [(4.5, 1)], 0)
-        assert E.trrg_expand(1, 1, [(Fraction(4), 1)], 0) == E.trrg_expand(1, 1, [(4, 1)], 0)
+            got = _run(E.trrg_expand(N, 1, key, piv), E)
+            assert got == E.invariant(N, 1, ins), (N, ins)
 
     @pytest.mark.parametrize("N", [1, 2])
     def test_genus2_terms_against_every_class(self, N):
@@ -525,40 +536,37 @@ class TestTrrgExpand:
                     for rest in combinations_with_replacement(small, r):
                         ins = tuple(sorted(((m, k),) + rest))
                         piv = ins.index((m, k))
-                        assert E.trrg_expand(N, g, ins, piv) == _ref_trrg(
-                            N, g, ins, piv
-                        ), (N, ins)
+                        got = _run(E.trrg_expand(N, g, ins, piv), E)
+                        assert got == _ref_trrg(N, g, ins, piv), (N, ins)
 
     def test_genus2_sum_equals_invariant(self):
         for m in (6, 8):
-            total = SymRat(0)
-            for bb, gkey in E.trrg_expand(1, 2, [(m, 1)], 0):
-                total = total + bb * E.invariant(gkey.N, 2, gkey.ins)
-            assert total == E.invariant(1, 2, [(m, 1)])
+            got = _run(E.trrg_expand(1, 2, ((m, 1),), 0), E)
+            assert got == E.invariant(1, 2, [(m, 1)])
 
 
 def _ref_trrg(N, g, ins, piv):
-    """The genus-g recursion terms, the class of the genus-g factor found
-    by trying every j in [0, N]: the terms are listed by the split of the
-    contact order, then the subset of the other insertions that goes to the
-    chain, then j."""
+    """The genus-g recursion, the class of the genus-g factor found by
+    trying every j in [0, N] and each chain bracket read off
+    `_ref_bracket`: summed over the split of the contact order, the subset
+    of the other insertions that goes to the chain, and j."""
     m, k = ins[piv]
     rest = ins[:piv] + ins[piv + 1 :]
-    out = []
+    pivot = (m - 3 * g + 1, k)
+    terms = []
     for alpha in range(3 * g - 1):
         beta = 3 * g - 2 - alpha
         for r in range(len(rest) + 1):
             for U in combinations(range(len(rest)), r):
-                left = [rest[i] for i in U]
+                left = tuple(rest[i] for i in U)
                 right = [rest[i] for i in range(len(rest)) if i not in U]
                 for j in range(N + 1):
                     gkey = InvariantKey.make(N, g, right + [(alpha, j)])
                     if gkey.degree() is None:
                         continue
-                    bb = E.beta_bracket(N, N - j, (m - 3 * g + 1, k), left, beta)
-                    if bb:
-                        out.append((bb, gkey))
-    return out
+                    bb = _ref_bracket(N, N - j, pivot, left, beta, E)
+                    terms.append((bb, E._invariant(gkey)))
+    return dot(terms)
 
 
 def _pi0(g, ms):
@@ -940,20 +948,6 @@ def _grid(N, sizes):
                 yield ins
 
 
-def _drive(route):
-    """Run one engine route to its value, answering each key it yields by
-    the public entry point, as a Fraction for a genus-0 key."""
-    val = None
-    while True:
-        try:
-            key = route.send(val)
-        except StopIteration as done:
-            return done.value
-        val = E.invariant(*key)
-        if key.g == 0:
-            val = val.rational()
-
-
 class TestSplitReference:
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_trr0_expand_terms(self, N):
@@ -968,7 +962,7 @@ class TestSplitReference:
                     for left, right in _ref_splittings((m - 1, k), rest[:2], rest[2:])
                     for hit in _ref_split(N, left, 0, right)
                 ]
-                assert E.trr0_expand(N, 0, ins, piv) == want, (N, ins, piv)
+                assert _trr0_pairs(N, ins, piv) == want, (N, ins, piv)
 
     @pytest.mark.parametrize("g", [0, 1])
     @pytest.mark.parametrize("N", [1, 2, 3])
@@ -1012,4 +1006,4 @@ class TestSplitReference:
                 handle = list(rest) + [(m - 1, k), (0, j), (0, N - j)]
                 total = total + Fraction(1, 24) * E.invariant(N, 0, handle).rational()
             key = InvariantKey.make(N, 1, ins)
-            assert _drive(E._genus1_trr(key)) == total, (N, ins)
+            assert _run(E._genus1_trr(key), E) == total, (N, ins)
