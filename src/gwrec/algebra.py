@@ -666,14 +666,9 @@ class LaurentSeries:
 
 
 def binomial(n: int, k: int) -> int:
-    """binomial(n, k) for k >= 0 and any integer n."""
-    if n >= 0:
-        return comb(n, k) if k <= n else 0
-    # Falling-factorial definition for negative upper argument.
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out // factorial(k)
+    """binomial(n, k) for k >= 0 and any integer n: n (n - 1) ... (n - k + 1) / k!,
+    which for n < 0 is (-1)^k binomial(k - n - 1, k)."""
+    return comb(n, k) if n >= 0 else (-1) ** k * comb(k - n - 1, k)
 
 
 def compositions(total: int, parts: int):

@@ -524,17 +524,6 @@ def _corrected_02(depth) -> dict:
 # string, dilaton and pole checks
 
 
-def _xm_over_xp(m):
-    """x(z)^m / x'(z) decomposed into poles at +-1 plus a polynomial part."""
-    if m == 0:
-        return {("m", 0): Fraction(1), ("p", 1, 1): Fraction(1, 2),
-                ("p", -1, 1): Fraction(-1, 2)}
-    if m == 1:
-        return {("m", 1): Fraction(1), ("p", 1, 1): Fraction(1),
-                ("p", -1, 1): Fraction(1)}
-    raise ValueError("string equation power must be 0 or 1")
-
-
 def _tensor_add(store, key, c):
     if c:
         store[key] = store.get(key, Fraction(0)) + c
@@ -542,34 +531,20 @@ def _tensor_add(store, key, c):
             del store[key]
 
 
-def _rep_mul_pole(rep, a, k):
-    """Multiply a decomposition from `_xm_over_xp` by (z - a)^{-k}, k >= 2
-    (the invariants have no first-order poles): its terms are z^0, z^1 and
-    simple poles."""
-    out: dict = {}
-    for key, c in rep.items():
-        if key == ("m", 0):
-            _tensor_add(out, ("p", a, k), c)
-        elif key == ("m", 1):
-            # z = (z - a) + a
-            _tensor_add(out, ("p", a, k - 1), c)
-            _tensor_add(out, ("p", a, k), c * a)
-        else:
-            b = key[1]
-            if b == a:
-                _tensor_add(out, ("p", a, k + 1), c)
-            else:
-                for r in range(k):
-                    _tensor_add(out, ("p", a, k - r), c * Fraction((-1) ** r, (a - b) ** (r + 1)))
-                _tensor_add(out, ("p", b, 1), c * Fraction((-1) ** k, (a - b) ** k))
-    return out
-
-
-def _rep_deriv(rep):
-    """Derivative of a sum of poles c (z - a)^{-j}."""
-    out: dict = {}
-    for (_, a, j), c in rep.items():
-        _tensor_add(out, ("p", a, j + 1), -c * j)
+def _string_terms(a, k, m) -> dict:
+    """d/dz [x^m / x' (z - a)^-k], k >= 2, as coefficients of poles
+    ("p", b, j) = (z - b)^-j.  x^m / x' = x^m z^2 / ((z - a)(z + a)) has
+    no polynomial part: at -a a simple pole of residue (-2a)^(m-1-k), since
+    x(-a) = -2a; at a, with t = z - a, the coefficient of t^-j is
+    [t^(k+1-j)] of x^m z^2 / (z + a) = P_m(t) + (-2a)^m / (2a + t), with
+    P_0 = t and P_1 = 2 + a t + t^2."""
+    s = Fraction(-2 * a)
+    poly = ((0, 1), (2, a, 1))[m]
+    out = {("p", -a, 2): -(s ** (m - 1 - k))}
+    for j in range(1, k + 2):
+        e = k + 1 - j
+        c = (poly[e] if e < len(poly) else 0) - s ** (m - 1 - e)
+        out["p", a, j + 1] = -j * c
     return out
 
 
@@ -612,7 +587,8 @@ def eo_string_dilaton_check(
     and the dilaton equation, both as equalities of rational tensors."""
     g, n, m = map(exact_int, (g, n, m))
     claim = f"eo-string-dilaton ({g},{n}) m={m}"
-    base = _xm_over_xp(m)  # rejects m outside {0, 1} before any recursion
+    if m not in (0, 1):  # before any recursion
+        raise ValueError("string equation power must be 0 or 1")
     curve = curve or SpectralCurve()
     lo = curve.omega(g, n)  # rejects an unstable (g, n) before (g, n + 1)
     hi = curve.omega(g, n + 1)
@@ -623,11 +599,13 @@ def eo_string_dilaton_check(
     lhs = _last_slot(hi, weights, m, lambda rest: tuple(("p", a, k) for a, k in rest))
     # RHS: minus the derivative terms of the lower invariant.
     rhs: dict = {}
+    terms: dict = {}  # _string_terms per slot (a, k)
     for assign, c in lo.coeffs.items():
         for i in range(n):
             a, k = assign[i]
-            rep = _rep_deriv(_rep_mul_pole(base, a, k))
-            for ukey, uc in rep.items():
+            if (a, k) not in terms:
+                terms[a, k] = _string_terms(a, k, m)
+            for ukey, uc in terms[a, k].items():
                 key = tuple(
                     ("p", aa, kk) if l != i else ukey
                     for l, (aa, kk) in enumerate(assign)

@@ -16,7 +16,6 @@ from math import factorial, prod
 from .algebra import (
     MultiPoly,
     QuasiPoly,
-    binomial,
     bipartitions,
     compositions,
     exact_int,
@@ -122,8 +121,8 @@ def point_invariant(g: int, m, d: int) -> Fraction:
     """(1/d!) * integral over curves with n + d points of prod psi_i^{m_i},
     the d extra points carrying no psi class.
 
-    Evaluated by two independent routes that must agree: a closed-form
-    binomial sum over top-level psi numbers, and a downward recursion on d
+    Evaluated by two independent routes that must agree: the n0
+    polynomial read at m, over prod m_i!, and a downward recursion on d
     through the string equation.  Both are exposed for the tests.
     """
     val_a = point_invariant_closed(g, m, d)
@@ -147,6 +146,8 @@ def _point_check(g, m, d):
 
 
 def point_invariant_closed(g: int, m, d: int) -> Fraction:
+    """The point invariant read off the n0 polynomial: its value at m over
+    prod m_i!, relabelling zero-level points first when (g, n) is unstable."""
     g, m, d = _point_check(g, m, d)
     n = len(m)
     if sum(m) != 3 * g - 3 + n + d:
@@ -159,20 +160,7 @@ def point_invariant_closed(g: int, m, d: int) -> Fraction:
         return point_invariant_closed(g, m + (0,) * j, d - j) * Fraction(
             factorial(d - j), factorial(d)
         )
-    total = Fraction(0)
-    for beta in compositions(3 * g - 3 + n, n):
-        prod = Fraction(1)
-        for mi, bi in zip(m, beta):
-            if bi > mi:
-                prod = Fraction(0)
-                break
-            prod *= binomial(mi, bi) * factorial(bi)
-        if prod:
-            total += prod * psi_intersection(g, beta)
-    denom = 1
-    for mi in m:
-        denom *= factorial(mi)
-    return total / denom
+    return n0_polynomial(g, n).eval(m).rational() / prod(map(factorial, m))
 
 
 def point_invariant_string(g: int, m, d: int) -> Fraction:

@@ -506,7 +506,9 @@ def asymptotics_report(
     ValueError when (g, n) is unstable, so that there is no top form, or
     when no point of the ray up to m_max is admissible."""
     ray = tuple(map(exact_int, ray))
-    if len(ray) != n or any(r <= 0 for r in ray):
+    if len(ray) != n:
+        raise ValueError(f"ray has {len(ray)} entries for n = {n} points")
+    if any(r <= 0 for r in ray):
         raise ValueError("ray must have positive entries")
     if 2 * g - 2 + n <= 0:
         raise ValueError(f"(g, n) = ({g}, {n}) is unstable: no top form")

@@ -15,6 +15,7 @@ from gwrec.algebra import (
     QuasiPoly,
     SymRat,
     TruncationError,
+    binomial,
     bipartitions,
     c_factor,
     ceil_div,
@@ -198,6 +199,14 @@ def comb_signed(n, k):
     for i in range(k):
         out = out * (n - i) / (i + 1)
     return out
+
+
+def test_binomial_is_the_falling_factorial_over_k_factorial():
+    # both signs of the upper argument, and k above a non-negative n
+    for n in range(-40, 41):
+        for k in range(26):
+            got = binomial(n, k)
+            assert type(got) is int and got == comb_signed(n, k), (n, k)
 
 
 class TestMultiPoly:

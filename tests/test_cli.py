@@ -209,6 +209,15 @@ class TestVerifyCommands:
         assert recs == []
         assert "no admissible point up to m = -5" in err
 
+    def test_asymptotics_ray_of_wrong_length_is_usage_error(self, capsys):
+        rc, recs, err = run(
+            capsys, "verify", "asymptotics", "--N", "1", "--g", "0", "--n", "3",
+            "--ray", "1,1",
+        )
+        assert rc == 2
+        assert recs == []
+        assert "ray has 2 entries for n = 3 points" in err
+
     def test_example_f_reports_the_broken_recursion(self, capsys):
         # the two-step recursion printed in the source material does not
         # hold for the engine values; the command reports it honestly

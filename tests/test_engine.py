@@ -500,15 +500,17 @@ class TestBetaBracket:
 
     def test_depth_one_chain_is_the_two_point_term(self):
         # at beta = 3g-2 the depth-one chain of the bracket is the plain
-        # two-point invariant with the pivot level raised by beta
+        # two-point invariant with the pivot level raised by beta; the
+        # deeper chains carry the rest, so the bracket is not that term
         g, N = 2, 1
         beta = 3 * g - 2
         m = 8 - (3 * g - 1)
-        direct = E.invariant(N, 0, [(0, 0), (m + beta, 1)]).rational()
-        assert direct != 0
         bracket = _run(E.beta_bracket(N, 0, (m, 1), (), beta), E)
-        # the remaining chains all start deeper, so they carry a sign
-        assert bracket - direct != bracket
+        assert bracket == _ref_bracket(N, 0, (m, 1), (), beta, E) == Fraction(-11, 64)
+        direct = E.invariant(N, 0, [(0, 0), (m + beta, 1)]).rational()
+        assert direct == Fraction(1, 576)
+        assert _run(E.beta_bracket(N, 0, (m + beta, 1), (), 0), E) == direct
+        assert bracket != direct
 
 
 class TestTrrgExpand:

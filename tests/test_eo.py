@@ -23,6 +23,7 @@ from gwrec.eo import (
     _corrected_02,
     _pole_bound,
     _row,
+    _string_terms,
     _string_weights,
     compare_eo_gw,
     eo_invariant,
@@ -607,6 +608,18 @@ class TestStringDilaton:
     def test_identities(self, g, n, m):
         rep = eo_string_dilaton_check(g, n, m)
         assert rep.status == "pass", rep.to_obj()
+
+    @pytest.mark.parametrize("a", [1, -1])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_string_terms_integrate_to_the_weighted_pole(self, a, m):
+        # the terms are d/dz of x^m / x' (z - a)^-k; that function and the
+        # termwise antiderivative both vanish at infinity, so they are equal
+        for k in range(2, 13):
+            terms = _string_terms(a, k, m)
+            for z in (Fraction(3), Fraction(5, 2), Fraction(-7, 3), Fraction(1, 4)):
+                got = sum(c * (z - b) ** (1 - j) / (1 - j) for (_, b, j), c in terms.items())
+                want = (z + 1 / z) ** m * z**2 / (z**2 - 1) / (z - a) ** k
+                assert got == want, (a, m, k, z)
 
     def test_string_power_is_checked_before_any_recursion(self):
         curve = SpectralCurve()

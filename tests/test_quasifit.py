@@ -530,8 +530,14 @@ class TestVerifiers:
             asymptotics_report(1, 1, 1, (1,), m_max)
 
     def test_asymptotics_rejects_degenerate_ray(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive entries"):
             asymptotics_report(1, 0, 2, (1, 0), 40)
+
+    @pytest.mark.parametrize("ray", [(1, 1), (1, 1, 1, 1)])
+    def test_asymptotics_rejects_ray_of_wrong_length(self, ray):
+        # a length mismatch names both counts, not the sign of the entries
+        with pytest.raises(ValueError, match=f"ray has {len(ray)} entries for n = 3 points"):
+            asymptotics_report(1, 0, 3, ray, 40)
 
     def test_asymptotics_rejects_non_integral_ray(self):
         # 1.9 would otherwise be read as 1 and the claim made for (1, 1, 1, 1)
