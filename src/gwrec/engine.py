@@ -29,7 +29,7 @@ from itertools import combinations
 from math import factorial
 from typing import NamedTuple
 
-from .algebra import SymRat, bipartitions, c_factor, dot, exact_int
+from .algebra import SymRat, c_factor, dot, exact_int
 
 
 class InvariantKey(NamedTuple):
@@ -121,35 +121,42 @@ def _replace(ins, idx, new):
     return ins[:idx] + (new,) + ins[idx + 1 :]
 
 
+def _weighted_splits(items):
+    """The list of every split of the tuple `items` into (chosen, rest)
+    tuples, in `bipartitions` order, each with the sum of the chosen
+    weights m + k - 1.  The dimension excess is linear in those weights,
+    so a caller carries it over the splits as this subset sum."""
+    w = [m + k - 1 for m, k in items]
+    n = len(items)
+    out = []  # a list, built in C: a generator would cost a frame per split
+    for r in range(n + 1):
+        # The complements of the r-subsets in lexicographic order are the
+        # (n - r)-subsets in reverse lexicographic order.
+        others = list(combinations(items, n - r))
+        others.reverse()
+        out += zip(combinations(items, r), others, map(sum, combinations(w, r)))
+    return out
+
+
 def _splits(N, g, head, tail, free):
     """The (genus-0 key, genus-g key) pair of every split of the tuple
     `free`, in `bipartitions` order, whose factors have a degree:
     head + chosen + tau_0(w^j) and tail + the rest + tau_0(w^(N-j)), j
-    forced by the left factor.  The dimension excess is linear in the
-    weights m + k - 1, so it is carried as a subset sum of the weights."""
+    forced by the left factor."""
     # N + 1 times each factor's degree, before the chosen weights and j.
     a0 = sum(m + k - 1 for m, k in head) - 1 - (N - 3)
-    w = [m + k - 1 for m, k in free]
-    b0 = sum(m + k - 1 for m, k in tail) + sum(w) + N - 1 - (N - 3) * (1 - g)
+    b0 = sum(m + k - 1 for m, k in tail + free) + N - 1 - (N - 3) * (1 - g)
     mod = N + 1
     new = tuple.__new__  # InvariantKey without its Python-level __new__
-    n = len(free)
-    for r in range(n + 1):
-        # The complements of the r-subsets in lexicographic order are the
-        # (n - r)-subsets in reverse lexicographic order.
-        others = list(combinations(free, n - r))
-        others.reverse()
-        for chosen, other, s in zip(
-            combinations(free, r), others, map(sum, combinations(w, r))
-        ):
-            a = a0 + s
-            j = -a % mod
-            b = b0 - s - j
-            if a + j < 0 or b < 0 or b % mod:
-                continue
-            left = tuple(sorted(head + chosen + ((0, j),)))
-            right = tuple(sorted(tail + other + ((0, N - j),)))
-            yield new(InvariantKey, (N, 0, left)), new(InvariantKey, (N, g, right))
+    for chosen, other, s in _weighted_splits(free):
+        a = a0 + s
+        j = -a % mod
+        b = b0 - s - j
+        if a + j < 0 or b < 0 or b % mod:
+            continue
+        left = tuple(sorted(head + chosen + ((0, j),)))
+        right = tuple(sorted(tail + other + ((0, N - j),)))
+        yield new(InvariantKey, (N, 0, left)), new(InvariantKey, (N, g, right))
 
 
 def _reduction_valid(d, g, n) -> bool:
@@ -418,13 +425,15 @@ class Engine:
             val = yield from self.beta_bracket(
                 N, first_class, (m + 1, k), extras, beta - 1
             )
-            for left, right in bipartitions(extras):
-                head = [(m, k)] + left
-                e = _forced_class(N, 0, head + [(0, 0)])
-                f = yield InvariantKey(N, 0, tuple(sorted(head + [(0, e)])))
+            # The dimension excess of <tau_m(w^k) L tau_0(w^e)>_0 at e = 0,
+            # less the weights of L.
+            a0 = m + k + 1 - N
+            for left, right, s in _weighted_splits(extras):
+                e = -(a0 + s) % (N + 1)
+                f = yield InvariantKey(N, 0, tuple(sorted(((m, k), (0, e)) + left)))
                 if f:
                     val -= f * (yield from self.beta_bracket(
-                        N, first_class, (0, N - e), tuple(right), beta - 1
+                        N, first_class, (0, N - e), right, beta - 1
                     ))
         # Plain assignment, not setdefault: the benchmark's tracer counts
         # the memo's inserts.
@@ -439,15 +448,19 @@ class Engine:
         m, k = ins[pivot_index]
         rest = _without(ins, pivot_index)
         mm = m - (3 * g - 1)
+        # The dimension excess of <R tau_alpha(w^j)>_g at alpha = j = 0 with
+        # R all of `rest`; a split takes the weights of L off it.
+        c0 = sum(x + y - 1 for x, y in rest) - 1 - (N - 3) * (1 - g)
         terms = []
         for alpha in range(3 * g - 1):
             beta = 3 * g - 2 - alpha
-            for left, right in bipartitions(rest):
-                j = _forced_class(N, g, right + [(alpha, 0)])
-                gkey = InvariantKey(N, g, tuple(sorted(right + [(alpha, j)])))
-                if gkey.degree() is None:
+            for left, right, s in _weighted_splits(rest):
+                c = c0 + alpha - s
+                j = -c % (N + 1)
+                if c + j < 0:
                     continue
-                bb = yield from self.beta_bracket(N, N - j, (mm, k), tuple(left), beta)
+                gkey = InvariantKey(N, g, tuple(sorted(right + ((alpha, j),))))
+                bb = yield from self.beta_bracket(N, N - j, (mm, k), left, beta)
                 if bb:
                     terms.append((bb, (yield gkey)))
         return dot(terms)

@@ -147,7 +147,9 @@ def _point_check(g, m, d):
 
 def point_invariant_closed(g: int, m, d: int) -> Fraction:
     """The point invariant read off the n0 polynomial: its value at m over
-    prod m_i!, relabelling zero-level points first when (g, n) is unstable."""
+    prod m_i!, relabelling zero-level points first when (g, n) is unstable.
+    The polynomial's Newton form at m, over prod m_i!, is the sum over
+    beta <= m of <tau_beta>_g / prod (m_i - beta_i)!, read directly."""
     g, m, d = _point_check(g, m, d)
     n = len(m)
     if sum(m) != 3 * g - 3 + n + d:
@@ -160,7 +162,12 @@ def point_invariant_closed(g: int, m, d: int) -> Fraction:
         return point_invariant_closed(g, m + (0,) * j, d - j) * Fraction(
             factorial(d - j), factorial(d)
         )
-    return n0_polynomial(g, n).eval(m).rational() / prod(map(factorial, m))
+    # Some beta <= m has |beta| = 3g - 3 + n <= |m|, so the sum is a Fraction.
+    return sum([
+        psi_intersection(g, beta) / prod([factorial(x - b) for x, b in zip(m, beta)])
+        for beta in compositions(3 * g - 3 + n, n)
+        if all([b <= x for b, x in zip(beta, m)])
+    ])
 
 
 def point_invariant_string(g: int, m, d: int) -> Fraction:

@@ -189,14 +189,17 @@ def quasi_fit(samples, N, nvars, degree_bound) -> QuasiPoly:
     mod = N + 1
     groups: dict = {}
     for point, value in samples:
-        point = tuple(map(exact_int, point))
+        point = tuple([exact_int(x) for x in point])
         if len(point) != nvars:
             raise ValueError("sample arity mismatch")
-        group = groups.setdefault(tuple(x % mod for x in point), {})
+        group = groups.setdefault(tuple([x % mod for x in point]), {})
         value = SymRat.of(value)
-        if group.setdefault(point, value) != value:
+        # Only a repeated point is compared; a repeat holding the very same
+        # object needs no arithmetic.
+        old = group.setdefault(point, value)
+        if old is not value and old != value:
             raise InconsistentSamplesError(
-                f"two samples at {point}: {group[point]!r} and {value!r}"
+                f"two samples at {point}: {old!r} and {value!r}"
             )
     branches = {}
     for res, pts in groups.items():
@@ -230,7 +233,9 @@ def fit_stationary(spec: FitSpec, engine: Engine = DEFAULT_ENGINE) -> QuasiPoly:
     """Sample the engine on per-coset grids and fit the quasi-polynomial of
     the c-normalised stationary bracket.  Only canonical (sorted) cosets are
     sampled; the rest follow by symmetry and are spot-checked against the
-    engine afterwards."""
+    engine afterwards.  The bracket is symmetric in its slots, so the
+    engine is read once per multiset of levels: every grid or check point
+    that reorders those levels reuses that value."""
     N, g, n = spec.N, spec.g, spec.n
     mod = N + 1
     D = spec.degree_bound
@@ -245,8 +250,14 @@ def fit_stationary(spec: FitSpec, engine: Engine = DEFAULT_ENGINE) -> QuasiPoly:
         if sum(r) % mod == want
     ]
 
+    read: dict = {}  # sorted levels -> normalised bracket
+
     def sample(ms):
-        return _normalized(engine, N, g, ms, spec.fixed_insertions)
+        ms = tuple(sorted(ms))
+        val = read.get(ms)
+        if val is None:
+            val = read[ms] = _normalized(engine, N, g, ms, spec.fixed_insertions)
+        return val
 
     fitted = {}
     for res in cosets:

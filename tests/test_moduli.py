@@ -2,7 +2,7 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -190,6 +190,19 @@ class TestN0Polynomial:
         for beta in _keys(g, n):
             for e in set(_perms(beta)):
                 assert poly.coeff(e) == psi_intersection(g, e)
+
+    @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
+    def test_closed_route_is_the_polynomial_at_m(self, g, n):
+        # point_invariant_closed sums the Newton form at m without building
+        # the polynomial; its value times prod m_i! is the polynomial's.
+        poly = n0_polynomial(g, n).branches[(0,) * n]
+        total = 3 * g - 3 + n
+        for d in range(4):
+            for m in combinations_with_replacement(range(total + d + 1), n):
+                if sum(m) != total + d:
+                    continue
+                fact = prod(map(factorial, m))
+                assert point_invariant_closed(g, m, d) * fact == poly.eval(m), (g, m, d)
 
     @pytest.mark.parametrize("g,n", [(0, 3), (0, 4), (1, 1), (1, 2)])
     def test_reproduces_d0_values(self, g, n):

@@ -109,6 +109,18 @@ class TestQuasiFit:
         with pytest.raises(InconsistentSamplesError):
             quasi_fit(pts, 1, 1, 1)
 
+    def test_repeated_point_is_compared_by_value(self):
+        # A repeat holding the very same object skips the comparison; an
+        # equal but distinct value must pass and a different one must not.
+        atom = SymRat.atom("u")
+        base = [((0,), SymRat(1)), ((2,), atom), ((4,), SymRat(3))]
+        want = quasi_fit(base, 1, 1, 2).branches
+        for again in (atom, SymRat(0, {"u": 1})):
+            assert again == atom
+            assert quasi_fit(base + [((2,), again)], 1, 1, 2).branches == want
+        with pytest.raises(InconsistentSamplesError, match="two samples at"):
+            quasi_fit(base + [((2,), SymRat(0, {"u": 2}))], 1, 1, 2)
+
 
 def _ref_differences(table, degree):
     """Forward differences one SymRat subtraction at a time, axis by axis."""
@@ -272,7 +284,37 @@ class TestIntegerDifferences:
                 _differences(off, degree)
 
 
+# sha256 of json.dumps([fit.to_obj(), ...], sort_keys=True) over the
+# benchmark's five fits, each on a fresh engine, computed while every grid
+# point read the engine itself.
+BENCHMARK_FITS = "0c58c99beacac2b58e53339e233d97fbaafe51300206037da6923b8811589fc3"
+
+
+class CountingEngine(Engine):
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+
+    def invariant(self, N, g, insertions):
+        self.reads += 1
+        return super().invariant(N, g, insertions)
+
+
 class TestFitStationary:
+    def test_reads_the_engine_once_per_multiset_of_levels(self):
+        # Seven cosets of 3^5 grid points and two surplus nodes each name
+        # 443 multisets of levels; the symmetry checks reorder grid points.
+        eng = CountingEngine()
+        fit_stationary(FitSpec(2, 0, 5), eng)
+        assert eng.reads == 443
+
+    def test_benchmark_fits_are_unchanged(self):
+        specs = [FitSpec(2, 0, 5), FitSpec(1, 1, 3), FitSpec(2, 1, 2),
+                 FitSpec(1, 2, 1, min_m=5), FitSpec(2, 2, 1, min_m=5)]
+        fits = [fit_stationary(spec, Engine()).to_obj() for spec in specs]
+        text = json.dumps(fits, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == BENCHMARK_FITS
+
     def test_four_point_line(self):
         q = fit_stationary(FitSpec(N=1, g=0, n=4))
         # even coset: sum(m_i)/2 plus the constant primary invariant
