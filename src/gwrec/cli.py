@@ -12,10 +12,11 @@ import contextlib
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
-from .algebra import MissingAtomError, SymRat, format_rat, parse_rat
+from .algebra import MissingAtomError, SymRat, _str_int, format_rat, parse_rat
 from .engine import Engine, InvariantKey
 from .eo import (
     compare_eo_gw,
@@ -66,27 +67,39 @@ class Config:
         return cls(atoms)
 
 
-def load_cache(path, records=None) -> dict:
+# One cache record exactly as `save_cache` writes an atom-free value: a
+# canonical key (N >= 1, decimals without leading zeros) and a scalar "0",
+# "p" or "p/q".  A line of this form is read from the match alone.
+_RECORD = re.compile(
+    r'\{"key": "gw\[N=([1-9]\d*);g=(0|[1-9]\d*);'
+    r'ins=((?:\((?:0|[1-9]\d*),(?:0|[1-9]\d*)\),)*\((?:0|[1-9]\d*),(?:0|[1-9]\d*)\)|)\]", '
+    r'"value": \{"scalar": "(?:0|(-?[1-9]\d*)(?:/([1-9]\d*))?)", "atoms": \{\}\}\}\n?',
+    re.ASCII,
+)
+
+
+def load_cache(path, records=None, lines=None) -> dict:
     """Merge the line-delimited cache records of `path` into `records` (a
     fresh dict by default) and return it.  Each key is parsed once into an
     InvariantKey and checked like engine input, so two spellings of one key
     are one record; a genus-0 value is held as a Fraction and may carry no
     atom, and a key no degree fits must hold 0.  A value that differs from
-    one already held is a conflict."""
+    one already held is a conflict.
+
+    A line already in the form `save_cache` writes is stored in `lines`, if
+    given, under its key, so that a save can write it back unchanged."""
     records = {} if records is None else records
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+            match = _RECORD.fullmatch(line)
             try:
-                obj = json.loads(line)
-                key = InvariantKey.parse(obj["key"]).checked()
-                val = SymRat.from_obj(obj["value"])
-                if key.g == 0:
-                    val = val.rational()
-                if val and key.degree() is None:
-                    raise ValueError("nonzero value where no degree fits")
+                if match:
+                    key, val, canonical = _read_match(match)
+                else:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    key, val, canonical = _read_json(line)
             except (ValueError, LookupError, TypeError, AttributeError,
                     ArithmeticError) as exc:
                 raise UsageError(f"{path}:{lineno}: malformed cache record") from exc
@@ -95,20 +108,69 @@ def load_cache(path, records=None) -> dict:
                     f"{path}:{lineno}: conflicting value for {key.canonical()}"
                 )
             records[key] = val
+            if canonical and lines is not None:
+                lines[key] = line if line.endswith("\n") else line + "\n"
     return records
 
 
-def save_cache(records, path):
+def _read_match(match):
+    """(key, value, whether the line is canonical) from a `_RECORD` match,
+    with the checks `_read_json` makes."""
+    N_text, g_text, ins_text, p_text, q_text = match.groups()
+    N, g = int(N_text), int(g_text)
+    ints = list(map(int, ins_text[1:-1].replace("),(", ",").split(","))) if ins_text else []
+    if ints and max(ints[1::2]) > N:
+        raise ValueError("class exponent outside [0, N]")
+    ins = tuple(zip(ints[::2], ints[1::2]))
+    key = InvariantKey(N, g, tuple(sorted(ins)))
+    if p_text is None:
+        val, canonical = Fraction(0), True
+    else:
+        q = 1 if q_text is None else _str_int(q_text)
+        val = Fraction(_str_int(p_text), q)
+        canonical = q_text is None or val.denominator == q != 1
+    if val and key.degree() is None:
+        raise ValueError("nonzero value where no degree fits")
+    return key, SymRat(val) if g else val, canonical and key.ins == ins
+
+
+def _read_json(line):
+    """(key, value, False) from any other record line."""
+    obj = json.loads(line)
+    key = InvariantKey.parse(obj["key"]).checked()
+    val = SymRat.from_obj(obj["value"])
+    if key.g == 0:
+        val = val.rational()
+    if val and key.degree() is None:
+        raise ValueError("nonzero value where no degree fits")
+    return key, val, False
+
+
+def _record_line(key, val) -> str:
+    """The cache line of one record: one f-string for an atom-free
+    Fraction, the JSON encoder for anything else."""
+    if type(val) is Fraction:
+        return (f'{{"key": "{key.canonical()}", "value": '
+                f'{{"scalar": "{format_rat(val)}", "atoms": {{}}}}}}\n')
+    return json.dumps({"key": key.canonical(), "value": SymRat.of(val).to_obj()}) + "\n"
+
+
+def save_cache(records, path, lines=None):
     """Write the InvariantKey records sorted by canonical key to a temporary
     file beside `path` and rename it over `path`, so a failed write leaves
-    the previous cache intact."""
-    lines = sorted((key.canonical(), val) for key, val in records.items())
+    the previous cache intact.  A record with a line in `lines` (as
+    `load_cache` fills it) is written as that line; every other record is
+    formatted afresh."""
+    lines = lines or {}
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            for key, val in lines:
-                obj = {"key": key, "value": SymRat.of(val).to_obj()}
-                fh.write(json.dumps(obj) + "\n")
+            # Each line is `{"key": "` and then its canonical key, which no
+            # other key extends (a key ends at its one "]"), so the lines
+            # sort as their keys do.
+            fh.writelines(sorted(
+                lines.get(key) or _record_line(key, val) for key, val in records.items()
+            ))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -349,9 +411,10 @@ def cmd_cache(args, config, engine):
     if not args.out:
         raise UsageError("cache merge needs --out")
     merged: dict = {}
+    lines: dict = {}
     for path in args.paths:
-        load_cache(path, merged)
-    save_cache(merged, args.out)
+        load_cache(path, merged, lines)
+    save_cache(merged, args.out, lines)
     emit({"out": args.out, "records": len(merged)})
     return 0
 
@@ -368,22 +431,25 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     engine = Engine()
+    lines: dict = {}
     try:
         config = Config.load(args.config) if args.config else Config()
         loaded = None
         if args.cache:
             with contextlib.suppress(FileNotFoundError):
-                loaded = len(load_cache(args.cache, engine.cache))
-        rc = args.func(args, config, engine)
+                loaded = len(load_cache(args.cache, engine.cache, lines))
+        try:
+            rc = args.func(args, config, engine)
+        except InconsistentSamplesError as exc:
+            # A fit whose engine values are not quasi-polynomial: a failed
+            # check.  The memo holds only exact values, so it is still saved.
+            print(f"error: {exc}", file=sys.stderr)
+            rc = 1
         # The memo only grows, so a larger memo means the command added a
         # record; a warm run leaves a cache file it read untouched.
         if args.cache and len(engine.cache) != loaded:
-            save_cache(engine.cache, args.cache)
+            save_cache(engine.cache, args.cache, lines)
         return rc
-    except InconsistentSamplesError as exc:
-        # A fit whose engine values are not quasi-polynomial: a failed check.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MissingAtomError as exc:
         print(f"error: no value assigned to atom {exc.args[0]}", file=sys.stderr)
         return 2

@@ -165,6 +165,16 @@ def _reduction_valid(d, g, n) -> bool:
     return d > 0 or 2 * g - 2 + (n - 1) > 0
 
 
+def _harmonic(d, s) -> Fraction:
+    """H_d^(s) = sum_{r<=d} r^(-s), summed as an integer numerator over an
+    integer denominator and reduced once."""
+    num, den = 0, 1
+    for r in range(1, d + 1):
+        rs = r**s
+        num, den = num * rs + den, den * rs
+    return Fraction(num, den)
+
+
 def _g0_one(N, A, d) -> Fraction:
     """The genus-0 one-point bracket <tau_m(w^a)>_{0,d}, A = (m, a), from
     Givental's J-function of P^N:
@@ -180,10 +190,7 @@ def _g0_one(N, A, d) -> Fraction:
     n = N - a
     # c[s] is s times the x^s coefficient of the exponent; b[k] is the x^k
     # coefficient of its exponential, from k b[k] = sum_s c[s] b[k - s].
-    c = [None] + [
-        (N + 1) * (-1) ** s * sum(Fraction(1, r**s) for r in range(1, d + 1))
-        for s in range(1, n + 1)
-    ]
+    c = [None] + [(N + 1) * (-1) ** s * _harmonic(d, s) for s in range(1, n + 1)]
     b = [Fraction(1)]
     for k in range(1, n + 1):
         b.append(sum(c[s] * b[k - s] for s in range(1, k + 1)) / k)

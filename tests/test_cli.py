@@ -1,10 +1,14 @@
 import json
+import os
 import runpy
 import sys
+import tempfile
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwrec import moduli
 from gwrec.algebra import QuasiPoly, SymRat, parse_rat
@@ -25,6 +29,21 @@ def run(capsys, *argv):
     out = capsys.readouterr()
     lines = [json.loads(l) for l in out.out.splitlines() if l.strip()]
     return rc, lines, out.err
+
+
+_keys = st.builds(
+    InvariantKey.make,
+    st.integers(1, 3),
+    st.integers(0, 2),
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=4),
+)
+_fractions = st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**6))
+_atom_names = st.text(alphabet=st.sampled_from('ab"\\é☃]'), min_size=1, max_size=4)
+_values = st.one_of(
+    st.integers(-50, 50),
+    _fractions,
+    st.builds(SymRat, _fractions, st.dictionaries(_atom_names, _fractions, max_size=2)),
+)
 
 
 class TestParsing:
@@ -429,8 +448,8 @@ class TestCacheIO:
             {**good, InvariantKey.make(1, 0, [(6, 1)]): SymRat(Fraction(1, 576))}, path
         )
         before = path.read_bytes()
-        # The unwritable record sorts after the good one, so the write fails
-        # partway through, after a prefix that differs from the old file.
+        # The unwritable record fails the save once the temporary file is
+        # open, and the file it would have replaced differs from the new one.
         bad = {**good, InvariantKey.make(1, 0, [(4, 1)]): Unwritable(Fraction(1, 36))}
         with pytest.raises(RuntimeError):
             save_cache(bad, path)
@@ -505,6 +524,192 @@ class TestCacheIO:
         rc, _, _ = run(capsys, "--cache", str(path), "psi", "--g", "1", "--beta", "1")
         assert rc == 0
         assert path.read_bytes() == b""
+
+
+def _reference_load(path, records=None) -> dict:
+    """The cache reader before canonical lines were read from a regex
+    match: every line through the JSON decoder."""
+    records = {} if records is None else records
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                key = InvariantKey.parse(obj["key"]).checked()
+                val = SymRat.from_obj(obj["value"])
+                if key.g == 0:
+                    val = val.rational()
+                if val and key.degree() is None:
+                    raise ValueError("nonzero value where no degree fits")
+            except (ValueError, LookupError, TypeError, AttributeError,
+                    ArithmeticError) as exc:
+                raise UsageError(f"{path}:{lineno}: malformed cache record") from exc
+            if key in records and records[key] != val:
+                raise CacheConflictError(
+                    f"{path}:{lineno}: conflicting value for {key.canonical()}"
+                )
+            records[key] = val
+    return records
+
+
+def _reference_line(key, val) -> str:
+    return json.dumps({"key": key.canonical(), "value": SymRat.of(val).to_obj()}) + "\n"
+
+
+def _reference_save(records) -> bytes:
+    """The cache bytes before kept lines: every record through the JSON
+    encoder, sorted by canonical key."""
+    lines = sorted((key.canonical(), _reference_line(key, val)) for key, val in records.items())
+    return "".join(line for _, line in lines).encode()
+
+
+def _assert_loads_like_reference(path):
+    """`load_cache` returns the reference reader's records, with the same
+    value types, or raises its exception at the same line; each line it
+    keeps is the reference writer's line for that record."""
+    try:
+        want = _reference_load(path)
+    except (UsageError, CacheConflictError) as exc:
+        with pytest.raises(type(exc)) as err:
+            load_cache(path, None, {})
+        assert str(err.value) == str(exc)
+        return
+    lines: dict = {}
+    got = load_cache(path, None, lines)
+    assert got == want
+    assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+    for key, line in lines.items():
+        assert line == _reference_line(key, got[key])
+
+
+def _line(key, value):
+    return json.dumps({"key": key, "value": value})
+
+
+# The spellings of a record that the two readers must treat alike: canonical
+# records, records the JSON decoder accepts in another form, and malformed ones.
+_VARIANT_LINES = {
+    "canonical": _line("gw[N=1;g=0;ins=(0,1),(2,1)]", {"scalar": "1/4", "atoms": {}}),
+    "canonical-genus-1": _line("gw[N=1;g=1;ins=(1,0)]", {"scalar": "1/24", "atoms": {}}),
+    "canonical-zero": _line("gw[N=1;g=1;ins=(0,0)]", {"scalar": "0", "atoms": {}}),
+    "canonical-integer": _line("gw[N=3;g=0;ins=(0,2),(0,2),(0,2),(0,2),(0,2),(0,2),(0,2),(0,2)]",
+                               {"scalar": "92", "atoms": {}}),
+    "canonical-negative": _line("gw[N=1;g=0;ins=(1,0)]", {"scalar": "-2", "atoms": {}}),
+    "no-insertions": _line("gw[N=1;g=0;ins=]", {"scalar": "0", "atoms": {}}),
+    "genus-0-zero-atom": _line("gw[N=1;g=0;ins=(2,1)]", {"scalar": "1/4", "atoms": {"x": "0"}}),
+    "genus-0-null-atoms": _line("gw[N=1;g=0;ins=(2,1)]", {"scalar": "1/4", "atoms": None}),
+    "atoms-omitted": _line("gw[N=1;g=0;ins=(2,1)]", {"scalar": "1/4"}),
+    "genus-1-atom": _line("gw[N=1;g=1;ins=(0,0),(1,1)]", {"scalar": "0", "atoms": {"a": "1"}}),
+    "value-not-a-dict": _line("gw[N=1;g=0;ins=(2,1)]", ["1/4"]),
+    "scalar-not-a-string": _line("gw[N=1;g=0;ins=(2,1)]", {"scalar": 0.25, "atoms": {}}),
+    "unreduced": _line("gw[N=1;g=0;ins=(2,1)]", {"scalar": "2/8", "atoms": {}}),
+    "over-one": _line("gw[N=1;g=0;ins=(1,0)]", {"scalar": "-2/1", "atoms": {}}),
+    "zero-over-q": _line("gw[N=1;g=0;ins=(2,1)]", {"scalar": "0/5", "atoms": {}}),
+    "minus-zero": _line("gw[N=1;g=1;ins=(0,0)]", {"scalar": "-0", "atoms": {}}),
+    "plus-sign": _line("gw[N=1;g=0;ins=(1,0)]", {"scalar": "+5", "atoms": {}}),
+    "leading-space": _line("gw[N=1;g=0;ins=(1,0)]", {"scalar": " 5", "atoms": {}}),
+    "underscore": _line("gw[N=1;g=0;ins=(1,0)]", {"scalar": "1_000", "atoms": {}}),
+    "leading-zeros": _line("gw[N=1;g=0;ins=(1,0)]", {"scalar": "007", "atoms": {}}),
+    "non-ascii-digit": json.dumps({"key": "gw[N=1;g=0;ins=(1,0)]",
+                                   "value": {"scalar": "1٥", "atoms": {}}}, ensure_ascii=False),
+    "non-ascii-level": json.dumps({"key": "gw[N=1;g=0;ins=(1٢,1)]",
+                                   "value": {"scalar": "1/4", "atoms": {}}}, ensure_ascii=False),
+    "zero-denominator": _line("gw[N=1;g=0;ins=(2,1)]", {"scalar": "1/0", "atoms": {}}),
+    "fields-reordered": _line("gw[g=0;ins=(2,1);N=1]", {"scalar": "1/4", "atoms": {}}),
+    "object-reordered": json.dumps({"value": {"atoms": {}, "scalar": "1/4"},
+                                    "key": "gw[N=1;g=0;ins=(2,1)]"}),
+    "compact-json": json.dumps({"key": "gw[N=1;g=0;ins=(2,1)]",
+                                "value": {"scalar": "1/4", "atoms": {}}}, separators=(",", ":")),
+    "spaces-in-insertions": _line("gw[N=1;g=0;ins=( 0, 1),(2 ,1)]", {"scalar": "1/4", "atoms": {}}),
+    "double-parentheses": _line("gw[N=1;g=0;ins=((2,1))]", {"scalar": "1/4", "atoms": {}}),
+    "unsorted": _line("gw[N=1;g=0;ins=(2,1),(0,1)]", {"scalar": "1/4", "atoms": {}}),
+    "leading-zero-level": _line("gw[N=1;g=0;ins=(02,1)]", {"scalar": "1/4", "atoms": {}}),
+    "k-above-N": _line("gw[N=1;g=0;ins=(1,2)]", {"scalar": "1/4", "atoms": {}}),
+    "N-zero": _line("gw[N=0;g=0;ins=(2,0)]", {"scalar": "0", "atoms": {}}),
+    "nonzero-without-degree": _line("gw[N=1;g=0;ins=(1,1)]", {"scalar": "3", "atoms": {}}),
+    "conflict": _line("gw[N=1;g=0;ins=(0,1),(2,1)]", {"scalar": "1/5", "atoms": {}}),
+    "long-value": _line("gw[N=1;g=0;ins=(2,1)]",
+                        {"scalar": "1/" + "7" * 4301 + "3", "atoms": {}}),
+    "long-unreduced-value": _line("gw[N=1;g=0;ins=(2,1)]",
+                                  {"scalar": "2/" + "8" * 4500, "atoms": {}}),
+    "long-level": _line("gw[N=1;g=0;ins=(" + "1" * 4400 + ",1)]", {"scalar": "0", "atoms": {}}),
+    "not-json": "{\"key\": ",
+    "blank": "   ",
+}
+
+
+class TestCacheText:
+    """`load_cache` reads a canonical line from a regex match and keeps it,
+    and `save_cache` writes kept lines back as they were read: the records
+    and the bytes written are those of the JSON decoder and encoder."""
+
+    @pytest.mark.parametrize("name", sorted(_VARIANT_LINES))
+    def test_each_spelling_loads_like_the_reference(self, tmp_path, name):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(_VARIANT_LINES["canonical"] + "\n" + _VARIANT_LINES[name] + "\n")
+        _assert_loads_like_reference(path)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_line_endings_and_blank_lines(self, tmp_path, ending):
+        path = tmp_path / "cache.jsonl"
+        body = ["", _VARIANT_LINES["unreduced"], "  ", _VARIANT_LINES["canonical-genus-1"], ""]
+        # The last record, a canonical one, has no line ending.
+        path.write_bytes((ending.join(body) + _VARIANT_LINES["canonical"]).encode())
+        _assert_loads_like_reference(path)
+        lines: dict = {}
+        records = load_cache(path, None, lines)
+        assert len(records) == 3 and len(lines) == 2
+        out = tmp_path / "out.jsonl"
+        save_cache(records, out, lines)
+        assert out.read_bytes() == _reference_save(records)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from(sorted(_VARIANT_LINES)), max_size=8),
+           st.lists(st.sampled_from(["\n", "\r\n"]), min_size=8, max_size=8), st.booleans())
+    def test_any_mix_loads_like_the_reference(self, names, endings, final_newline):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cache.jsonl")
+            text = "".join(_VARIANT_LINES[n] + e for n, e in zip(names, endings))
+            if text and not final_newline:
+                text = text.rstrip("\r\n")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            _assert_loads_like_reference(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(_keys, _values, max_size=12))
+    def test_save_writes_the_reference_bytes(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cache.jsonl")
+            save_cache(records, path)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            assert data == _reference_save(records)
+            # A file the reader accepts is written back unchanged from the
+            # lines it kept.
+            try:
+                _reference_load(path)
+            except UsageError:
+                return
+            lines: dict = {}
+            again = os.path.join(tmp, "again.jsonl")
+            save_cache(load_cache(path, None, lines), again, lines)
+            with open(again, "rb") as fh:
+                assert fh.read() == data
+
+    def test_non_canonical_file_is_rewritten_canonically(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        names = ["unsorted", "canonical-genus-1", "over-one", "canonical-integer",
+                 "genus-1-atom", "long-unreduced-value", "canonical-zero"]
+        path.write_text("\r\n".join(_VARIANT_LINES[n] for n in names) + "\n\n")
+        lines: dict = {}
+        records = load_cache(path, None, lines)
+        assert len(records) == 7 and len(lines) == 3
+        out = tmp_path / "out.jsonl"
+        save_cache(records, out, lines)
+        assert out.read_bytes() == _reference_save(_reference_load(path))
 
 
 class TestCacheRecordsCheckedLikeInput:
@@ -630,6 +835,20 @@ class TestGoldenOutputs:
         assert rc == 1
         assert recs == []
         assert err.startswith("error:") and "beyond degree" in err
+
+    def test_failed_fit_saves_the_records_it_computed(self, capsys, tmp_path):
+        # The genus-2 surplus differences are equations in atoms: `fit`
+        # fails where `verify top` reports them, and both computed the same
+        # exact memo.
+        fit, top = tmp_path / "fit.jsonl", tmp_path / "top.jsonl"
+        rc, recs, err = run(capsys, "--cache", str(fit), "fit", "--N", "1", "--g", "2", "--n", "2")
+        assert (rc, recs) == (1, [])
+        assert err.startswith("error:") and "beyond degree" in err
+        rc, recs, _ = run(capsys, "--cache", str(top), "verify", "top", "--N", "1", "--g", "2",
+                          "--n", "2")
+        assert rc == 1 and recs[0]["status"] == "inconclusive-atoms"
+        assert len(load_cache(fit)) == 292
+        assert fit.read_bytes() == top.read_bytes()
 
     def test_fit_genus1_table_row(self, capsys):
         rc, recs, _ = run(capsys, "fit", "--N", "1", "--g", "1", "--n", "1",

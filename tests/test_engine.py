@@ -18,6 +18,7 @@ from gwrec.engine import (
     _dim_excess,
     _forced_class,
     _g0_one,
+    _harmonic,
     _splits,
     degree_of,
 )
@@ -202,6 +203,11 @@ class TestOnePointClosedForm:
 
     def test_unstable_degree_zero(self):
         assert _g0_one(3, (0, 1), 0) == 0
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 30, 751])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_harmonic_sums(self, d, s):
+        assert _harmonic(d, s) == sum(Fraction(1, r**s) for r in range(1, d + 1))
 
 
 def _truncated_mul(p, q, n):
