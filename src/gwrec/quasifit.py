@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from math import lcm, prod
 
@@ -104,38 +105,63 @@ class FitSpec:
         return floor + ((r - floor) % (self.N + 1))
 
 
+@lru_cache(maxsize=32)
+def _difference_plan(offsets, degree):
+    """(steps, newton, surplus) for a table with these offsets, in table
+    order: the subtractions (i, j), col[i] -= col[j], of every forward
+    difference, axis by axis and on each axis from the highest level
+    down, and the (position, offset) pairs with |offset| <= degree and
+    above it.  ValueError when the offsets are not a lower set,
+    UnderdeterminedSystemError when one of total degree `degree` is
+    missing.  The cosets of a fit, and a family's extrapolations with
+    the same number of low slots, share their offsets, so the 32 plans
+    used last are kept; a plan holds no sample value."""
+    pos = {a: i for i, a in enumerate(offsets)}
+    nvars = len(offsets[0])
+    # down[k]: (level on axis k, position, position one step down)
+    down = [[] for _ in range(nvars)]
+    for i, a in enumerate(offsets):
+        for k in range(nvars):
+            if a[k]:
+                b = a[:k] + (a[k] - 1,) + a[k + 1 :]
+                if b not in pos:
+                    raise ValueError(f"samples off the lattice: offset {a} without {b}")
+                down[k].append((a[k], i, pos[b]))
+    for a in compositions(degree, nvars):
+        if a not in pos:
+            raise UnderdeterminedSystemError(
+                f"no sample at offset {a} for an interpolant of degree {degree}"
+            )
+    steps = []
+    for axis in down:
+        axis.sort(reverse=True)  # highest level first
+        for r in range(1, axis[0][0] + 1 if axis else 0):
+            steps += [(i, j) for level, i, j in axis if level >= r]
+    return (
+        tuple(steps),
+        tuple((i, a) for i, a in enumerate(offsets) if sum(a) <= degree),
+        tuple((i, a) for i, a in enumerate(offsets) if sum(a) > degree),
+    )
+
+
 def _differences(table, degree):
     """Newton coefficients of the lattice interpolant of total degree
     <= degree.
 
     `table` maps lattice offsets alpha to the samples f(alpha); the offsets
     must form a lower set (with alpha, every alpha - e_k with alpha_k > 0).
-    The forward differences Delta^alpha f(0) are taken one axis at a time
-    on integer columns, the scalars and each atom's coefficients, each as
-    numerators over the lcm of its denominators; the table is left as it
-    is.  On a lower set the samples agree with a polynomial of total
-    degree <= degree exactly when every higher difference vanishes, so
-    that is the consistency check, made on the integers.  Returns
-    {alpha: Delta^alpha f(0)} for |alpha| <= degree; the interpolant is
-    their sum against prod_k binomial(x_k, alpha_k).
+    What depends on the offsets alone, checks included, is their cached
+    `_difference_plan`.  Per table, the forward differences Delta^alpha f(0)
+    are taken by its schedule on integer columns, the scalars and each
+    atom's coefficients, each as numerators over the lcm of its
+    denominators; the table is left as it is.  On a lower set the samples
+    agree with a polynomial of total degree <= degree exactly when every
+    higher difference vanishes, so that is the consistency check, made on
+    the integers.  Returns {alpha: Delta^alpha f(0)} for |alpha| <= degree,
+    in table order; the interpolant is their sum against
+    prod_k binomial(x_k, alpha_k).
     """
-    keys = list(table)
-    pos = {a: i for i, a in enumerate(keys)}
-    nvars = len(keys[0])
-    # steps[k]: (level on axis k, position, position one step down)
-    steps = [[] for _ in range(nvars)]
-    for i, a in enumerate(keys):
-        for k in range(nvars):
-            if a[k]:
-                b = _step_down(a, k)
-                if b not in pos:
-                    raise ValueError(f"samples off the lattice: offset {a} without {b}")
-                steps[k].append((a[k], i, pos[b]))
-    for a in compositions(degree, nvars):
-        if a not in pos:
-            raise UnderdeterminedSystemError(
-                f"no sample at offset {a} for an interpolant of degree {degree}"
-            )
+    steps, newton, surplus = _difference_plan(tuple(table), degree)
     values = table.values()
     names = list(dict.fromkeys(n for v in values for n in v.atoms))
     columns, dens = [], []
@@ -146,14 +172,9 @@ def _differences(table, degree):
         den = lcm(*[q for _, q in ratios])
         columns.append([p * (den // q) for p, q in ratios])
         dens.append(den)
-    for down in steps:
-        down.sort(reverse=True)  # highest level first
-        for r in range(1, down[0][0] + 1 if down else 0):
-            for level, i, j in down:
-                if level < r:
-                    break
-                for col in columns:
-                    col[i] -= col[j]
+    for col in columns:
+        for i, j in steps:
+            col[i] -= col[j]
 
     def value(i):
         return SymRat._make(Fraction(columns[0][i], dens[0]), {
@@ -161,21 +182,14 @@ def _differences(table, degree):
             for n, col, d in zip(names, columns[1:], dens[1:]) if col[i]
         })
 
-    newton = {}
-    for i, a in enumerate(keys):
-        if sum(a) <= degree:
-            newton[a] = value(i)
-        elif any(col[i] for col in columns):
-            surplus = [value(j) for j, b in enumerate(keys) if sum(b) > degree]
+    for i, a in surplus:
+        if any(col[i] for col in columns):
+            diffs = [value(j) for j, _ in surplus]
             raise InconsistentSamplesError(
                 f"difference at offset {a} is {value(i)!r}, beyond degree {degree}",
-                atoms_only=all(v.atoms for v in surplus if v),
+                atoms_only=all(v.atoms for v in diffs if v),
             )
-    return newton
-
-
-def _step_down(a, k):
-    return a[:k] + (a[k] - 1,) + a[k + 1 :]
+    return {a: value(i) for i, a in newton}
 
 
 def quasi_fit(samples, N, nvars, degree_bound) -> QuasiPoly:
@@ -185,6 +199,10 @@ def quasi_fit(samples, N, nvars, degree_bound) -> QuasiPoly:
     lattice (N+1)Z^nvars anchored at the componentwise minimum of its
     points, and interpolated by forward differences (`_differences`),
     which also checks every sample, surplus included, against the result.
+    Cosets sampled at the same offsets, as every coset of a
+    `fit_stationary` grid is, share one cached `_difference_plan`, which
+    holds the schedule and checks derived from the offsets and no sample
+    value.
     """
     mod = N + 1
     groups: dict = {}

@@ -248,6 +248,17 @@ class TestVerifyCommands:
             r["status"] == "fail" for c, r in by_claim.items() if "recursion" in c
         )
 
+    @pytest.mark.parametrize("max_m, recursion", [
+        ("3", {"example-f recursion m=3": "-1"}),
+        ("5", {"example-f recursion m=3": "-1", "example-f recursion m=5": "-11/3"}),
+    ])
+    def test_example_f_recursion_witness(self, capsys, max_m, recursion):
+        # --max-m 3 is the least that checks a recursion step; the stated
+        # recursion's values are pinned, as its verdict is fail either way.
+        rc, recs, _ = run(capsys, "verify", "example-f", "--max-m", max_m)
+        assert rc == 1
+        assert {r["claim"]: r["witness"]["recursion"] for r in recs} == recursion
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -5,7 +5,7 @@ import random
 import weakref
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import comb, prod
+from math import comb, lcm, prod
 
 import pytest
 from hypothesis import given
@@ -18,6 +18,7 @@ from gwrec.quasifit import (
     FitSpec,
     InconsistentSamplesError,
     UnderdeterminedSystemError,
+    _difference_plan,
     _differences,
     asymptotics_report,
     fit_stationary,
@@ -284,6 +285,166 @@ class TestIntegerDifferences:
                 _differences(off, degree)
 
 
+def _schedule_differences(table, degree):
+    """The per-table schedule loop that the difference plan replaced: the
+    step-down pairs, the lower-set and degree checks and the Newton and
+    surplus positions are rebuilt from the offsets of every table."""
+    keys = list(table)
+    pos = {a: i for i, a in enumerate(keys)}
+    nvars = len(keys[0])
+    steps = [[] for _ in range(nvars)]
+    for i, a in enumerate(keys):
+        for k in range(nvars):
+            if a[k]:
+                b = a[:k] + (a[k] - 1,) + a[k + 1 :]
+                if b not in pos:
+                    raise ValueError(f"samples off the lattice: offset {a} without {b}")
+                steps[k].append((a[k], i, pos[b]))
+    for a in compositions(degree, nvars):
+        if a not in pos:
+            raise UnderdeterminedSystemError(
+                f"no sample at offset {a} for an interpolant of degree {degree}"
+            )
+    values = table.values()
+    names = list(dict.fromkeys(n for v in values for n in v.atoms))
+    columns, dens = [], []
+    for col in [[v.scalar for v in values]] + [
+        [v.atoms.get(n, 0) for v in values] for n in names
+    ]:
+        ratios = [x.as_integer_ratio() for x in col]
+        den = lcm(*[q for _, q in ratios])
+        columns.append([p * (den // q) for p, q in ratios])
+        dens.append(den)
+    for down in steps:
+        down.sort(reverse=True)
+        for r in range(1, down[0][0] + 1 if down else 0):
+            for level, i, j in down:
+                if level < r:
+                    break
+                for col in columns:
+                    col[i] -= col[j]
+
+    def value(i):
+        return SymRat._make(Fraction(columns[0][i], dens[0]), {
+            n: Fraction(col[i], d)
+            for n, col, d in zip(names, columns[1:], dens[1:]) if col[i]
+        })
+
+    newton = {}
+    for i, a in enumerate(keys):
+        if sum(a) <= degree:
+            newton[a] = value(i)
+        elif any(col[i] for col in columns):
+            surplus = [value(j) for j, b in enumerate(keys) if sum(b) > degree]
+            raise InconsistentSamplesError(
+                f"difference at offset {a} is {value(i)!r}, beyond degree {degree}",
+                atoms_only=all(v.atoms for v in surplus if v),
+            )
+    return newton
+
+
+@st.composite
+def _offsets(draw):
+    """(offsets, degree): a random lower set in 2 or 3 variables, with or
+    without the simplex of the degree, in a random order; now and then one
+    node is dropped, so that the set may no longer be a lower set."""
+    nvars = draw(st.integers(2, 3))
+    degree = draw(st.integers(0, 3))
+    tops = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), min_size=1, max_size=3))
+    pts = set()
+    for top in tops:
+        pts |= set(product(*(range(t + 1) for t in top)))
+    if draw(st.booleans()):
+        pts |= {a for d in range(degree + 2) for a in compositions(d, nvars)}
+    pts = sorted(pts)
+    if len(pts) > 1 and draw(st.integers(0, 5)) == 0:
+        pts.remove(draw(st.sampled_from(pts[1:])))
+    return draw(st.permutations(pts)), degree
+
+
+def _values(data, offsets, degree):
+    """Samples at `offsets` of a random polynomial of total degree <= degree,
+    with or without atoms; now and then one sample is bumped off it."""
+    nvars = len(offsets[0])
+    names = data.draw(st.sampled_from([[], ["a"], ["a", "b"]]))
+    rat = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    coeffs = {
+        a: SymRat(data.draw(rat), {n: data.draw(rat) for n in names})
+        for d in range(degree + 1)
+        for a in compositions(d, nvars)
+    }
+    values = [
+        sum(
+            (c * prod(binomial(xi, ai) for xi, ai in zip(x, a)) for a, c in coeffs.items()),
+            SymRat(0),
+        )
+        for x in offsets
+    ]
+    if data.draw(st.integers(0, 3)) == 0:
+        i = data.draw(st.integers(0, len(values) - 1))
+        bump = data.draw(st.sampled_from([SymRat(1), SymRat.atom("a")]))
+        values[i] = values[i] + bump
+    return values
+
+
+def _outcome(differences, table, degree):
+    """The Newton table in its order, or the error's type, text and verdict."""
+    try:
+        return list(differences(dict(table), degree).items())
+    except (ValueError, InconsistentSamplesError) as exc:
+        return type(exc), str(exc), getattr(exc, "atoms_only", None)
+
+
+class TestDifferencePlan:
+    @given(_offsets(), st.data())
+    def test_tables_sharing_offsets_match_the_schedule_loop(self, od, data):
+        # The second table meets the plan that the first one left cached.
+        offsets, degree = od
+        for _ in range(2):
+            table = dict(zip(offsets, _values(data, offsets, degree)))
+            want = _outcome(_schedule_differences, table, degree)
+            assert _outcome(_differences, table, degree) == want
+
+    @given(_offsets(), st.data())
+    def test_reordered_offsets_give_the_same_result(self, od, data):
+        offsets, degree = od
+        table = dict(zip(offsets, _values(data, offsets, degree)))
+        order = data.draw(st.permutations(offsets))
+        want = _outcome(_differences, table, degree)
+        got = _outcome(_differences, {x: table[x] for x in order}, degree)
+        if isinstance(want, list):
+            assert dict(got) == dict(want)
+        else:
+            assert got[0] is want[0] and got[2] == want[2]
+
+    def test_tables_sharing_offsets_share_one_plan(self):
+        table = {(i, j): SymRat(i + 2 * j) for i in range(3) for j in range(3 - i)}
+        _differences(table, 1)
+        hits = _difference_plan.cache_info().hits
+        _differences({a: v * 3 for a, v in table.items()}, 1)
+        assert _difference_plan.cache_info().hits == hits + 1
+
+    def test_the_plan_holds_no_sample_value(self):
+        table = {(i,): SymRat(i, {"a": Fraction(1, 3)}) for i in range(4)}
+        plan = _difference_plan(tuple(table), 2)
+
+        def leaves(x):
+            if isinstance(x, tuple):
+                for y in x:
+                    yield from leaves(y)
+            else:
+                yield x
+
+        assert {type(x) for x in leaves(tuple(plan))} <= {int}
+
+    def test_the_plan_cache_is_bounded(self):
+        bound = _difference_plan.cache_info().maxsize
+        assert bound is not None
+        for n in range(bound + 3):
+            _differences({(i,): SymRat(i) for i in range(n + 2)}, 1)
+        assert _difference_plan.cache_info().currsize <= bound
+
+
 # sha256 of json.dumps([fit.to_obj(), ...], sort_keys=True) over the
 # benchmark's five fits, each on a fresh engine, computed while every grid
 # point read the engine itself.
@@ -545,6 +706,18 @@ class TestVerifiers:
         assert verify_dilaton_derivative(0, 3).status == "pass"
         assert verify_dilaton_derivative(1, 1).status == "pass"
         assert verify_dilaton_derivative(2, 1).status == "exploratory"
+
+    @pytest.mark.parametrize("check, args, points", [
+        (verify_p_string_divisor, (1, 0, 2, E, 10), 66),
+        (verify_p_string_divisor, (2, 0, 3, E, 6), 57),
+        (verify_p_string_divisor, (1, 1, 1, E, 8), 7),
+        (verify_dilaton_derivative, (0, 3), 85),
+        (verify_dilaton_derivative, (1, 1), 4),
+    ])
+    def test_points_checked_are_pinned(self, check, args, points):
+        # The count of grid points each check compares, so that a check
+        # which skips or double-counts points cannot pass unnoticed.
+        assert check(*args).witness == {"points": points}
 
     def test_asymptotics(self):
         rep = asymptotics_report(
