@@ -111,16 +111,20 @@ def _difference_plan(offsets, degree):
     order: the subtractions (i, j), col[i] -= col[j], of every forward
     difference, axis by axis and on each axis from the highest level
     down, and the (position, offset) pairs with |offset| <= degree and
-    above it.  ValueError when the offsets are not a lower set,
-    UnderdeterminedSystemError when one of total degree `degree` is
-    missing.  The cosets of a fit, and a family's extrapolations with
-    the same number of low slots, share their offsets, so the 32 plans
-    used last are kept; a plan holds no sample value."""
-    pos = {a: i for i, a in enumerate(offsets)}
+    above it.  ValueError when the offsets differ in length or are not a
+    lower set, UnderdeterminedSystemError when there are none or one of
+    total degree `degree` is missing.  A fit's cosets, and a family's
+    extrapolations with as many low slots, share their offsets, so the 32
+    plans used last are kept; a plan holds no sample value."""
+    if not offsets:
+        raise UnderdeterminedSystemError("no samples to interpolate")
     nvars = len(offsets[0])
+    pos = {a: i for i, a in enumerate(offsets)}
     # down[k]: (level on axis k, position, position one step down)
     down = [[] for _ in range(nvars)]
     for i, a in enumerate(offsets):
+        if len(a) != nvars:
+            raise ValueError(f"offsets of unequal length: {offsets[0]} and {a}")
         for k in range(nvars):
             if a[k]:
                 b = a[:k] + (a[k] - 1,) + a[k + 1 :]
@@ -192,44 +196,16 @@ def _differences(table, degree):
     return {a: value(i) for i, a in newton}
 
 
-def quasi_fit(samples, N, nvars, degree_bound) -> QuasiPoly:
-    """Exact interpolation of one quasi-polynomial from sampled values.
-
-    Samples are grouped by coset; each coset is read as a lower set of the
-    lattice (N+1)Z^nvars anchored at the componentwise minimum of its
-    points, and interpolated by forward differences (`_differences`),
-    which also checks every sample, surplus included, against the result.
-    Cosets sampled at the same offsets, as every coset of a
-    `fit_stationary` grid is, share one cached `_difference_plan`, which
-    holds the schedule and checks derived from the offsets and no sample
-    value.
-    """
-    mod = N + 1
-    groups: dict = {}
-    for point, value in samples:
-        point = tuple([exact_int(x) for x in point])
-        if len(point) != nvars:
-            raise ValueError("sample arity mismatch")
-        group = groups.setdefault(tuple([x % mod for x in point]), {})
-        value = SymRat.of(value)
-        # Only a repeated point is compared; a repeat holding the very same
-        # object needs no arithmetic.
-        old = group.setdefault(point, value)
-        if old is not value and old != value:
-            raise InconsistentSamplesError(
-                f"two samples at {point}: {old!r} and {value!r}"
-            )
-    branches = {}
-    for res, pts in groups.items():
-        base = tuple(map(min, zip(*pts)))
-        table = {
-            tuple((x - b) // mod for x, b in zip(point, base)): value
-            for point, value in pts.items()
-        }
-        poly = MultiPoly.from_newton(_differences(table, degree_bound), base, mod)
-        if poly.terms:
-            branches[res] = poly
-    return QuasiPoly(N, nvars, branches)
+def quasi_fit(table, base, N, degree_bound) -> MultiPoly:
+    """The polynomial on one coset of (N+1)Z^n through `table`, which maps
+    lattice offsets a, a lower set, to the SymRat samples at base + (N+1) a.
+    `_differences` interpolates and checks every sample, surplus included.
+    ValueError for a non-integral base or one of another length than the
+    offsets; `fit_stationary` takes each base from `FitSpec.base`."""
+    base = tuple(map(exact_int, base))
+    if table and len(base) != len(next(iter(table))):
+        raise ValueError(f"base {base} and offset {next(iter(table))} differ in length")
+    return MultiPoly.from_newton(_differences(table, degree_bound), base, N + 1)
 
 
 def stationary_parity(N, g, n, fixed=()):
@@ -249,11 +225,12 @@ def _normalized(engine, N, g, ms, fixed=()) -> SymRat:
 
 def fit_stationary(spec: FitSpec, engine: Engine = DEFAULT_ENGINE) -> QuasiPoly:
     """Sample the engine on per-coset grids and fit the quasi-polynomial of
-    the c-normalised stationary bracket.  Only canonical (sorted) cosets are
-    sampled; the rest follow by symmetry and are spot-checked against the
-    engine afterwards.  The bracket is symmetric in its slots, so the
-    engine is read once per multiset of levels: every grid or check point
-    that reorders those levels reuses that value."""
+    the c-normalised stationary bracket: one `quasi_fit` per canonical
+    (sorted) coset, at the offsets {0..D}^n, (D+1, 0, ...) and
+    (D+2, 0, ...) from its `FitSpec.base`.  The rest follow by symmetry and
+    are spot-checked against the engine afterwards.  The bracket is
+    symmetric in its slots, so the engine is read once per multiset of
+    levels: every grid or check point that reorders them reuses that value."""
     N, g, n = spec.N, spec.g, spec.n
     mod = N + 1
     D = spec.degree_bound
@@ -277,16 +254,18 @@ def fit_stationary(spec: FitSpec, engine: Engine = DEFAULT_ENGINE) -> QuasiPoly:
             val = read[ms] = _normalized(engine, N, g, ms, spec.fixed_insertions)
         return val
 
+    offsets = list(product(range(D + 1), repeat=n))
+    if n:
+        # Two surplus nodes beyond the grid on the first axis keep the
+        # samples a lower set of the lattice.
+        offsets += [(i,) + (0,) * (n - 1) for i in (D + 1, D + 2)]
     fitted = {}
     for res in cosets:
-        bases = [spec.base(r) for r in res]
-        pts = list(product(*[[b + mod * i for i in range(D + 1)] for b in bases]))
-        if n:
-            # Two surplus nodes beyond the grid on the first axis keep the
-            # samples a lower set of the lattice.
-            pts += [(bases[0] + mod * i, *bases[1:]) for i in (D + 1, D + 2)]
-        sub = quasi_fit([(p, sample(p)) for p in pts], N, n, D)
-        fitted.update(sub.branches)
+        base = [spec.base(r) for r in res]
+        table = {a: sample([b + mod * x for b, x in zip(base, a)]) for a in offsets}
+        poly = quasi_fit(table, base, N, D)
+        if poly.terms:
+            fitted[res] = poly
 
     # Complete the branch family under permutations of the slots.
     full = dict(fitted)
@@ -462,7 +441,7 @@ def verify_p_string_divisor(
     point to check."""
     claim = f"p-string-divisor N={N} g={g} n={n} grid<= {max_m}"
     mod = N + 1
-    lo = max(0, 3 * g - 1)
+    lo = FitSpec(N, g, n).floor()
     fam_n = stationary_family(N, g, n, engine)
     fam_n1 = stationary_family(N, g, n + 1, engine)
     checked = 0
@@ -505,7 +484,7 @@ def verify_dilaton_derivative(g, n, engine: Engine = DEFAULT_ENGINE) -> Verifica
     if g > 1:
         return VerificationReport(claim, "exploratory",
                                   {"reason": "unproven beyond genus 1"})
-    lo = max(0, 3 * g - 1)
+    lo = FitSpec(N, g, n).floor()
     spec = FitSpec(N=N, g=g, n=n + 1, min_m=0)
     q = fit_stationary(spec, engine)
     checked = 0

@@ -41,25 +41,27 @@ ATOMS = {ATOM_A: Fraction(-1, 24)}
 
 
 class TestQuasiFit:
-    def _sample(self, q, pts):
-        return [(p, q.eval(p)) for p in pts]
+    def _table(self, q, base, offsets):
+        mod = q.N + 1
+        return {
+            a: q.eval(tuple(b + mod * x for b, x in zip(base, a))) for a in offsets
+        }
 
     def test_recovers_known_polynomial(self):
         p = MultiPoly(2, {(1, 0): Fraction(1, 2), (0, 0): SymRat.atom("c")})
         q = QuasiPoly(1, 2, {(0, 0): p})
-        pts = [(2 * a, 2 * b) for a in range(3) for b in range(3)]
-        got = quasi_fit(self._sample(q, pts), 1, 2, 1)
-        assert got.branches[(0, 0)] == p
+        table = self._table(q, (0, 0), product(range(3), repeat=2))
+        assert quasi_fit(table, (0, 0), 1, 1) == p
 
     def test_underdetermined(self):
         with pytest.raises(UnderdeterminedSystemError):
-            quasi_fit([((0,), SymRat(1))], 1, 1, 2)
+            quasi_fit({(0,): SymRat(1)}, (0,), 1, 2)
 
     def test_inconsistent_samples(self):
-        pts = [((2 * i,), SymRat(i)) for i in range(4)]
-        pts.append(((8,), SymRat(99)))  # off the line
+        table = {(i,): SymRat(i) for i in range(4)}
+        table[(4,)] = SymRat(99)  # off the line
         with pytest.raises(InconsistentSamplesError):
-            quasi_fit(pts, 1, 1, 1)
+            quasi_fit(table, (0,), 1, 1)
 
     def test_round_trip_random(self):
         rng = random.Random(23)
@@ -84,43 +86,45 @@ class TestQuasiFit:
             if not branches:
                 continue
             q = QuasiPoly(N, nvars, branches)
-            samples = []
+            offsets = list(product(range(deg + 2), repeat=nvars))
+            got = {}
             for res in branches:
-                for off in product(range(deg + 2), repeat=nvars):
-                    pt = tuple(r + mod * o for r, o in zip(res, off))
-                    samples.append((pt, q.eval(pt)))
-            got = quasi_fit(samples, N, nvars, deg)
-            assert got.branches == q.branches
+                poly = quasi_fit(self._table(q, res, offsets), res, N, deg)
+                if poly.terms:
+                    got[res] = poly
+            assert got == q.branches
 
     def test_samples_off_a_lower_set(self):
-        # (4, 2) is sampled without (4, 0): not a lower set of the lattice
-        pts = [((0, 0), 1), ((2, 0), 2), ((0, 2), 3), ((2, 2), 4), ((4, 2), 5)]
+        # (2, 1) is sampled without (2, 0): not a lower set of the lattice
+        table = {(0, 0): SymRat(1), (1, 0): SymRat(2), (0, 1): SymRat(3),
+                 (1, 1): SymRat(4), (2, 1): SymRat(5)}
         with pytest.raises(ValueError, match="off the lattice"):
-            quasi_fit(pts, 1, 2, 1)
+            quasi_fit(table, (0, 0), 1, 1)
 
     def test_non_integral_sample_point_is_rejected(self):
-        # 0.5 would otherwise be read as 0 and fitted there
+        # A base of 0.5, the least sample point, would otherwise be read as 0
+        table = {(0,): SymRat(1), (1,): SymRat(1)}
         with pytest.raises(ValueError, match="0.5"):
-            quasi_fit([((0.5,), 1), ((2,), 1)], 1, 1, 0)
-        got = quasi_fit([((Fraction(0),), 1), ((Fraction(2),), 1)], 1, 1, 0)
-        assert got.branches == quasi_fit([((0,), 1), ((2,), 1)], 1, 1, 0).branches
+            quasi_fit(table, (0.5,), 1, 0)
+        assert quasi_fit(table, (Fraction(0),), 1, 0) == quasi_fit(table, (0,), 1, 0)
 
-    def test_two_samples_at_one_point(self):
-        pts = [((0,), SymRat(1)), ((2,), SymRat(2)), ((2,), SymRat(3))]
-        with pytest.raises(InconsistentSamplesError):
-            quasi_fit(pts, 1, 1, 1)
+    def test_offsets_of_unequal_length_are_rejected(self):
+        table = {(0, 0): SymRat(1), (1,): SymRat(1)}
+        with pytest.raises(ValueError, match="unequal length"):
+            quasi_fit(table, (0, 0), 1, 0)
 
-    def test_repeated_point_is_compared_by_value(self):
-        # A repeat holding the very same object skips the comparison; an
-        # equal but distinct value must pass and a different one must not.
-        atom = SymRat.atom("u")
-        base = [((0,), SymRat(1)), ((2,), atom), ((4,), SymRat(3))]
-        want = quasi_fit(base, 1, 1, 2).branches
-        for again in (atom, SymRat(0, {"u": 1})):
-            assert again == atom
-            assert quasi_fit(base + [((2,), again)], 1, 1, 2).branches == want
-        with pytest.raises(InconsistentSamplesError, match="two samples at"):
-            quasi_fit(base + [((2,), SymRat(0, {"u": 2}))], 1, 1, 2)
+    def test_base_of_the_wrong_length_is_rejected(self):
+        table = {(0,): SymRat(1), (1,): SymRat(1)}
+        with pytest.raises(ValueError, match="differ in length"):
+            quasi_fit(table, (0, 0), 1, 0)
+
+    def test_failing_fit_names_the_first_surplus_offset(self):
+        # The (1, 2, 2) fit fails on unresolved genus-2 atoms; in table
+        # order, its first nonzero surplus difference is at offset (2, 4).
+        pattern = r"difference at offset \(2, 4\)"
+        with pytest.raises(InconsistentSamplesError, match=pattern) as exc:
+            fit_stationary(FitSpec(1, 2, 2))
+        assert exc.value.atoms_only
 
 
 def _ref_differences(table, degree):
