@@ -9,7 +9,7 @@ floating point enters anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul, sub
 
@@ -688,13 +688,3 @@ def compositions(total: int, parts: int):
             return
         c[j - 1] += 1
         c[j], c[-1] = 0, c[j] - 1
-
-
-def bipartitions(items):
-    """Every split of `items` into (chosen, rest) lists, each keeping the
-    order of `items`.  Splits come by the size of the chosen part, then
-    lexicographically by the positions chosen."""
-    idx = range(len(items))
-    for r in range(len(items) + 1):
-        for U in combinations(idx, r):
-            yield [items[i] for i in U], [items[i] for i in idx if i not in U]

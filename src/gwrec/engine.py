@@ -14,9 +14,11 @@ constraint of the key and a key whose derived degree is fractional or
 negative evaluates to zero.
 
 Keys are tuples (N, g, ins).  Each recursion route is a generator that
-yields the keys it needs and receives their values; one loop runs the
-routes on an explicit stack, so the depth of a recursion chain is bounded
-by memory, not by the interpreter's recursion limit.  No route re-enters
+yields the keys it needs and receives their values; one loop,
+`_run_routes`, runs the routes on an explicit stack, so the depth of a
+recursion chain is bounded by memory, not by the interpreter's recursion
+limit.  The same loop runs the psi recursion and the point string route
+of `gwrec.moduli` over their own caches.  No route re-enters
 `Engine._invariant`: the genus-g route reaches its genus-0 chain brackets
 through `yield from`, at a depth bounded by beta <= 3g - 2, and they yield
 their factor keys like any route.
@@ -122,10 +124,11 @@ def _replace(ins, idx, new):
 
 
 def _weighted_splits(items):
-    """The list of every split of the tuple `items` into (chosen, rest)
-    tuples, in `bipartitions` order, each with the sum of the chosen
-    weights m + k - 1.  The dimension excess is linear in those weights,
-    so a caller carries it over the splits as this subset sum."""
+    """The list of every split of the pairs `items` into (chosen, rest)
+    tuples, by the size of the chosen part, then by its positions in
+    lexicographic order, each with the sum of the chosen weights m + k - 1.
+    The dimension excess is linear in those weights, so a caller carries
+    it over the splits as this subset sum."""
     w = [m + k - 1 for m, k in items]
     n = len(items)
     out = []  # a list, built in C: a generator would cost a frame per split
@@ -140,9 +143,10 @@ def _weighted_splits(items):
 
 def _splits(N, g, head, tail, free):
     """The (genus-0 key, genus-g key) pair of every split of the tuple
-    `free`, in `bipartitions` order, whose factors have a degree:
-    head + chosen + tau_0(w^j) and tail + the rest + tau_0(w^(N-j)), j
-    forced by the left factor."""
+    `free`, by the size of the chosen part, then by its positions in
+    lexicographic order, whose factors have a degree: head + chosen +
+    tau_0(w^j) and tail + the rest + tau_0(w^(N-j)), j forced by the left
+    factor."""
     # N + 1 times each factor's degree, before the chosen weights and j.
     a0 = sum(m + k - 1 for m, k in head) - 1 - (N - 3)
     b0 = sum(m + k - 1 for m, k in tail + free) + N - 1 - (N - 3) * (1 - g)
@@ -197,10 +201,39 @@ def _g0_one(N, A, d) -> Fraction:
     return b[n] / factorial(d) ** (N + 1)
 
 
+def _run_routes(key, cache, compute):
+    """The value of `key`, a key missing from `cache`, where `compute(key)`
+    is its route: a generator that yields each key it needs, is sent that
+    key's value and returns its own.  Each route on the stack runs until it
+    yields a key missing from the cache, which is pushed in turn; a finished
+    route's value is cached and sent to the route below it."""
+    stack = [(key, compute(key))]
+    pending = {key}
+    val = None
+    while True:
+        top, route = stack[-1]
+        try:
+            need = route.send(val)
+        except StopIteration as done:
+            val = cache[top] = done.value
+            stack.pop()
+            pending.remove(top)
+            if not stack:
+                return val
+            continue
+        val = cache.get(need)
+        if val is None:
+            # A key already waiting on this stack would wait forever.
+            if need in pending:
+                raise RecursionError(f"{need!r} depends on its own value")
+            stack.append((need, compute(need)))
+            pending.add(need)
+
+
 class Engine:
     """Memoized evaluator on an explicit stack.  `_compute(key)` returns the
     key's route as a generator that yields the keys it needs; `_invariant`
-    answers each from the cache or pushes it, and never recurses through
+    runs it with `_run_routes` over `Engine.cache`, never recursing through
     the interpreter.  No route re-enters `_invariant`; chain brackets are
     memoized in `_bb_memo`, apart from the key cache.  All methods are
     pure; the caches only ever receive idempotent writes, so concurrent use
@@ -218,39 +251,14 @@ class Engine:
         return val if isinstance(val, SymRat) else SymRat._make(val)
 
     def _invariant(self, key: InvariantKey):
-        """The value of `key`: each route on the stack runs until it yields
-        a key missing from the cache, which is pushed in turn; a finished
-        route's value is cached and sent to the route below it.  A key no
+        """The value of `key` from `Engine.cache` or its route; a key no
         degree fits is zero and is not memoized."""
-        cache = self.cache
-        val = cache.get(key)
+        val = self.cache.get(key)
         if val is not None:
             return val
         if key.degree() is None:
             return Fraction(0)
-        stack = [(key, self._compute(key))]
-        pending = {key}
-        val = None
-        while True:
-            top, route = stack[-1]
-            try:
-                need = route.send(val)
-            except StopIteration as done:
-                val = cache[top] = done.value
-                stack.pop()
-                pending.remove(top)
-                if not stack:
-                    return val
-                continue
-            val = cache.get(need)
-            if val is None:
-                # A key already waiting on this stack would wait forever.
-                if need in pending:
-                    raise RecursionError(
-                        f"{need.canonical()} depends on its own value"
-                    )
-                stack.append((need, self._compute(need)))
-                pending.add(need)
+        return _run_routes(key, self.cache, self._compute)
 
     # ------------------------------------------------------------------
     # dispatch

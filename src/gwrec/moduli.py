@@ -3,9 +3,10 @@ the degree-decorated point invariants built from them.
 
 psi_intersection computes <tau_{b_1}...tau_{b_n}>_g by a Virasoro-derived
 recursion on the distinguished insertion of largest level, seeded by
-<tau_0^3>_0 = 1 and <tau_1>_1 = 1/24.  Correctness is enforced by the
-string/dilaton property suite and golden values in the tests, not by any
-single reference.
+<tau_0^3>_0 = 1 and <tau_1>_1 = 1/24.  It and the string route of the
+point invariants are routes on the engine's stack loop, `_run_routes`.
+Correctness is enforced by the string/dilaton property suite and golden
+values in the tests, not by any single reference.
 """
 
 from __future__ import annotations
@@ -13,13 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, prod
 
-from .algebra import (
-    MultiPoly,
-    QuasiPoly,
-    bipartitions,
-    compositions,
-    exact_int,
-)
+from .algebra import MultiPoly, QuasiPoly, compositions, dot, exact_int
+from .engine import _run_routes, _weighted_splits
 
 
 class UnstableKeyError(ValueError):
@@ -55,63 +51,50 @@ def psi_intersection(g: int, beta) -> Fraction:
         raise UnstableKeyError(f"(g, n) = ({g}, {n}) is unstable")
     if sum(beta) != 3 * g - 3 + n:
         return Fraction(0)
-    return _psi(g, beta)
+    if (g, beta) not in _PSI_CACHE:
+        _run_routes((g, beta), _PSI_CACHE, _psi_route)
+    return _PSI_CACHE[g, beta]
 
 
 def _stable(g, n) -> bool:
     return 2 * g - 2 + n > 0
 
 
-def _psi(g, beta) -> Fraction:
-    key = (g, beta)
-    if key in _PSI_CACHE:
-        return _PSI_CACHE[key]
-    if g == 0 and beta == (0, 0, 0):
-        val = Fraction(1)
-    elif g == 1 and beta == (1,):
-        val = Fraction(1, 24)
-    else:
-        val = _psi_recurse(g, beta)
-    _PSI_CACHE[key] = val
-    return val
-
-
-def _psi_recurse(g, beta) -> Fraction:
-    # Pivot on the largest level; by the dimension constraint it is >= 1
-    # except at the seeds handled above.
-    rest = list(beta[:-1])
-    i = beta[-1]
-    assert i >= 1, (g, beta)
-    total = Fraction(0)
+def _psi_route(key):
+    """The route of a dimension-valid key (g, beta), beta sorted: the
+    recursion pivots on the largest level, which is >= 1 except at the
+    seeds.  Its boundary sum reads each split of the other levels once,
+    weighted by level - 1, and the genus of the part with level a is forced
+    by the subset sum s of those weights: 3 g1 = s + a + 2."""
+    g, beta = key
+    if key == (0, (0, 0, 0)):
+        return Fraction(1)
+    if key == (1, (1,)):
+        return Fraction(1, 24)
+    rest, i = beta[:-1], beta[-1]
+    terms = []
     # Transfer terms: join the pivot with one of the other points.
     for j, pj in enumerate(rest):
         coeff = Fraction(_dfact(2 * i + 2 * pj - 1), _dfact(2 * i + 1) * _dfact(2 * pj - 1))
-        sub = tuple(sorted(rest[:j] + rest[j + 1 :] + [i + pj - 1]))
-        total += coeff * _psi(g, sub)
+        sub = tuple(sorted(rest[:j] + rest[j + 1 :] + (i + pj - 1,)))
+        terms.append((coeff, (yield (g, sub))))
     # Boundary terms: split off a rational tail or separate the surface.
+    splits = _weighted_splits([(x, 0) for x in rest])
     half = Fraction(1, 2 * _dfact(2 * i + 1))
     for a in range(i - 1):
         b = i - 2 - a
-        w = Fraction(_dfact(2 * a + 1) * _dfact(2 * b + 1))
-        inner = Fraction(0)
+        w = half * _dfact(2 * a + 1) * _dfact(2 * b + 1)
         if g >= 1 and _stable(g - 1, len(rest) + 2):
-            key = tuple(sorted(rest + [a, b]))
-            if sum(key) == 3 * (g - 1) - 3 + len(key):
-                inner += _psi(g - 1, key)
-        for g1 in range(g + 1):
-            g2 = g - g1
-            for I, J in bipartitions(rest):
-                if not _stable(g1, len(I) + 1) or not _stable(g2, len(J) + 1):
-                    continue
-                k1 = tuple(sorted([a] + I))
-                k2 = tuple(sorted([b] + J))
-                # The levels of k1 and k2 add up to their two dimensions
-                # together, so k2 meets its own once k1 does.
-                if sum(k1) != 3 * g1 - 3 + len(k1):
-                    continue
-                inner += _psi(g1, k1) * _psi(g2, k2)
-        total += half * w * inner
-    return total
+            terms.append((w, (yield (g - 1, tuple(sorted(rest + (a, b)))))))
+        for I, J, s in splits:
+            g1, r = divmod(s + a + 2, 3)
+            if r or not 0 <= g1 <= g:
+                continue
+            if _stable(g1, len(I) + 1) and _stable(g - g1, len(J) + 1):
+                v1 = yield (g1, tuple(sorted([a] + [x for x, _ in I])))
+                v2 = yield (g - g1, tuple(sorted([b] + [x for x, _ in J])))
+                terms.append((w * v1, v2))
+    return dot(terms)
 
 
 _POINT_CACHE: dict = {}
@@ -175,36 +158,26 @@ def point_invariant_string(g: int, m, d: int) -> Fraction:
     if sum(m) != 3 * g - 3 + len(m) + d:
         return Fraction(0)
     # The string equation forgets one extra point at a time, so the chain
-    # is d keys deep: it runs on an explicit stack over _POINT_CACHE, each
-    # key staying on it until the keys one point down are cached.
-    top = (g, tuple(sorted(m)), d)
-    stack = [top]
-    while stack:
-        key = stack[-1]
-        if key in _POINT_CACHE:
-            stack.pop()
-            continue
-        _, ms, d = key
-        if d == 0:
-            val = psi_intersection(g, ms)
-        elif not any(ms):
-            # All levels zero: the string step would forget down to an
-            # unstable space; the integrand is 1 and the space is a point.
-            val = Fraction(1, factorial(d))
-        else:
-            subs = [
-                (g, tuple(sorted(ms[:i] + (x - 1,) + ms[i + 1 :])), d - 1)
-                for i, x in enumerate(ms)
-                if x
-            ]
-            missing = [sub for sub in subs if sub not in _POINT_CACHE]
-            if missing:
-                stack.extend(missing)
-                continue
-            val = sum(_POINT_CACHE[sub] for sub in subs) / d
-        _POINT_CACHE[key] = val
-        stack.pop()
-    return _POINT_CACHE[top]
+    # is d keys deep: its route runs on the engine's stack over _POINT_CACHE.
+    key = (g, tuple(sorted(m)), d)
+    if key not in _POINT_CACHE:
+        _run_routes(key, _POINT_CACHE, _point_route)
+    return _POINT_CACHE[key]
+
+
+def _point_route(key):
+    g, ms, d = key
+    if d == 0:
+        return psi_intersection(g, ms)
+    if not any(ms):
+        # All levels zero: the string step would forget down to an unstable
+        # space; the integrand is 1 and the space is a point.
+        return Fraction(1, factorial(d))
+    total = 0
+    for i, x in enumerate(ms):
+        if x:
+            total += yield (g, tuple(sorted(ms[:i] + (x - 1,) + ms[i + 1 :])), d - 1)
+    return total / d
 
 
 def n0_polynomial(g: int, n: int) -> QuasiPoly:

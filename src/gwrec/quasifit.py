@@ -90,6 +90,10 @@ class FitSpec:
     fixed_insertions: tuple = ()
     min_m: int | None = None  # lower bound for sample levels
 
+    def __post_init__(self):
+        if self.N < 1:
+            raise ValueError(f"target dimension N = {self.N} must be >= 1")
+
     @property
     def degree_bound(self) -> int:
         return 3 * self.g - 3 + self.n + len(self.fixed_insertions)
@@ -520,6 +524,8 @@ def asymptotics_report(
         raise ValueError("ray must have positive entries")
     if 2 * g - 2 + n <= 0:
         raise ValueError(f"(g, n) = ({g}, {n}) is unstable: no top form")
+    if N < 1:
+        raise ValueError(f"target dimension N = {N} must be >= 1")
     claim = f"asymptotics N={N} g={g} n={n} ray={ray}"
     mod = N + 1
     lo = max(1, 3 * g - 1)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import gcd, prod
 
 import pytest
@@ -16,7 +16,6 @@ from gwrec.algebra import (
     SymRat,
     TruncationError,
     binomial,
-    bipartitions,
     c_factor,
     ceil_div,
     compositions,
@@ -295,19 +294,6 @@ class TestMultiPoly:
         p = MultiPoly(2, {(2, 1): Fraction(1, 2)})
         d = p.deriv(0)
         assert d.eval((3, 4)) == Fraction(1, 2) * 2 * 3 * 4
-
-
-class TestBipartitions:
-    @pytest.mark.parametrize("n", range(6))
-    def test_matches_combinations(self, n):
-        items = "abcde"[:n]
-        want = [
-            ([items[i] for i in U], [items[i] for i in range(n) if i not in U])
-            for r in range(n + 1)
-            for U in combinations(range(n), r)
-        ]
-        assert list(bipartitions(items)) == want
-        assert len(want) == 2**n
 
 
 class TestCompositions:

@@ -350,6 +350,19 @@ class TestVerifyCommands:
         assert recs == []
         assert "degree bound" in err
 
+    @pytest.mark.parametrize("N", ["-1", "-2"])
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--g", "0", "--n", "3"),
+        ("verify", "top"),
+        ("verify", "string-divisor"),
+        ("verify", "asymptotics", "--n", "3", "--ray", "1,1,1"),
+    ], ids=["fit", "top", "string-divisor", "asymptotics"])
+    def test_target_dimension_below_one_is_usage_error(self, capsys, argv, N):
+        rc, recs, err = run(capsys, *argv, "--N", N)
+        assert rc == 2
+        assert recs == []
+        assert err == f"error: target dimension N = {N} must be >= 1\n"
+
     @pytest.mark.parametrize("argv", [("eo",), ("verify", "pole")])
     def test_negative_genus_is_usage_error(self, capsys, argv):
         rc, recs, err = run(capsys, *argv, "--g", "-1", "--n", "5")

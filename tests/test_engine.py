@@ -19,7 +19,9 @@ from gwrec.engine import (
     _forced_class,
     _g0_one,
     _harmonic,
+    _run_routes,
     _splits,
+    _weighted_splits,
     degree_of,
 )
 from gwrec.moduli import point_invariant
@@ -881,6 +883,13 @@ class TestExplicitStack:
         with pytest.raises(RecursionError, match="depends on its own value"):
             Loop().invariant(1, 0, [(2, 1)])
 
+        def loop(key):
+            return (yield key)
+
+        # The guard is the runner's, whatever the keys and the cache.
+        with pytest.raises(RecursionError, match="depends on its own value"):
+            _run_routes((1, (2, 3)), {}, loop)
+
 
 class TestCacheTransport:
     def test_key_parse_round_trip(self):
@@ -957,6 +966,24 @@ def _grid(N, sizes):
 
 
 class TestSplitReference:
+    @pytest.mark.parametrize("n", range(6))
+    def test_weighted_splits_order(self, n):
+        """By the size of the chosen part, then by its positions in
+        lexicographic order, each with the chosen weights m + k - 1 summed;
+        a repeated pair is told apart by its position."""
+        items = [(2, 1), (0, 0), (2, 1), (5, 3), (1, 0)][:n]
+        want = [
+            (
+                tuple(items[i] for i in U),
+                tuple(items[i] for i in range(n) if i not in U),
+                sum(items[i][0] + items[i][1] - 1 for i in U),
+            )
+            for r in range(n + 1)
+            for U in combinations(range(n), r)
+        ]
+        assert _weighted_splits(items) == want
+        assert len(want) == 2**n
+
     @pytest.mark.parametrize("N", [1, 2, 3])
     def test_trr0_expand_terms(self, N):
         for ins in _grid(N, (3, 4)):

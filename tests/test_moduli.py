@@ -7,6 +7,7 @@ from math import factorial, prod
 import pytest
 
 from gwrec import moduli
+from gwrec.algebra import compositions
 from gwrec.moduli import (
     UnstableKeyError,
     n0_polynomial,
@@ -107,6 +108,53 @@ class TestPsiIntersection:
         with pytest.raises(ValueError, match="1.5"):
             psi_intersection(1.5, [1])
         assert psi_intersection(Fraction(2), [4]) == Fraction(1, 1152)
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_one_point_closed_form(self, g):
+        # <tau_{3g-2}>_g = 1/(24^g g!)
+        assert psi_intersection(g, [3 * g - 2]) == Fraction(1, 24**g * factorial(g))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_genus0_multinomial(self, n):
+        # <prod tau_{b_i}>_0 = (n-3)! / prod b_i!
+        for beta in compositions(n - 3, n):
+            want = Fraction(factorial(n - 3), prod(map(factorial, beta)))
+            assert psi_intersection(0, beta) == want, beta
+
+    def test_sweep_values_and_cache_keys(self, monkeypatch):
+        # Pinned digests of every psi number with g <= 6 and n <= 4, of the
+        # point invariants with g <= 2, n = 2 and d < 40, and of the keys
+        # both sweeps leave in the two caches, started empty.
+        monkeypatch.setattr(moduli, "_PSI_CACHE", {})
+        monkeypatch.setattr(moduli, "_POINT_CACHE", {})
+        psi = [
+            f"{g} {beta} {psi_intersection(g, beta)}"
+            for g in range(7)
+            for n in range(5)
+            if 2 * g - 2 + n > 0
+            for beta in compositions(3 * g - 3 + n, n)
+        ]
+        points = [
+            f"{g} {m} {d} {point_invariant(g, m, d)}"
+            for g in range(3)
+            for d in range(40)
+            if 2 * g + d > 0
+            for m in compositions(3 * g - 1 + d, 2)
+        ]
+        digests = [
+            hashlib.sha256("\n".join(psi).encode()).hexdigest(),
+            hashlib.sha256("\n".join(points).encode()).hexdigest(),
+            hashlib.sha256(repr(sorted(moduli._PSI_CACHE)).encode()).hexdigest(),
+            hashlib.sha256(repr(sorted(moduli._POINT_CACHE)).encode()).hexdigest(),
+        ]
+        assert (len(psi), len(points)) == (4094, 2700)
+        assert (len(moduli._PSI_CACHE), len(moduli._POINT_CACHE)) == (1120, 1380)
+        assert digests == [
+            "5be70993d3b18bd9590e1c6c001f55bad19d16642d564b6752ad644013fb09ca",
+            "2a1cb16174969f6b776e3e27f8ea6e92ebf2670aabce731ec4b82b0eb8929cd4",
+            "105569652af4e2a261973c1b0e32e4b87a6577502a59cc0ac61040b442cc32f2",
+            "dc1955e13d8e449760e40f63f593c57133527bbb42d80d1790a989c564028e47",
+        ]
 
 
 class TestPointInvariant:

@@ -517,6 +517,19 @@ class TestFitStationary:
             fit_stationary(FitSpec(N=1, g=0, n=n), eng)
         assert eng.cache == {}
 
+    @pytest.mark.parametrize("N", [0, -1, -2])
+    def test_target_dimension_below_one_is_rejected(self, N):
+        # No residue modulo N + 1 is taken first: at N = -1 that would
+        # divide by zero, and below it sample nothing and pass.
+        with pytest.raises(ValueError, match="must be >= 1"):
+            FitSpec(N, 0, 3)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            StationaryFamily(N, 0, 3)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            verify_p_string_divisor(N, 0, 3)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            asymptotics_report(N, 0, 3, (1, 1, 1), 20)
+
     def test_min_m_zero_equals_min_m_one_for_genus0(self):
         qa = fit_stationary(FitSpec(N=1, g=0, n=3, min_m=0))
         qb = fit_stationary(FitSpec(N=1, g=0, n=3, min_m=1))
