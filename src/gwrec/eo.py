@@ -15,7 +15,6 @@ coefficient that comes out is one exact rational number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -26,7 +25,7 @@ from .algebra import (
 )
 from .engine import DEFAULT_ENGINE, Engine
 from .moduli import psi_intersection
-from .quasifit import VerificationReport
+from .quasifit import VerificationReport, _Record
 
 
 class NonzeroResiduePartError(AssertionError):
@@ -40,14 +39,15 @@ class AsymmetricOrbitError(AssertionError):
     a bug or a corrupted lower table."""
 
 
-@dataclass
-class PoleBasisDifferential:
+class PoleBasisDifferential(_Record):
     """omega^g_n = sum over assignments ((a_i, k_i))_i of
     coeff * prod_i dz_i / (z_i - a_i)^{k_i}."""
 
-    g: int
-    n: int
-    coeffs: dict = field(default_factory=dict)
+    _fields = ("g", "n", "coeffs")
+
+    def __init__(self, g: int, n: int, coeffs: dict | None = None):
+        self.g, self.n = g, n
+        self.coeffs = {} if coeffs is None else coeffs
 
     def max_order(self) -> int:
         return max((max(k for _, k in a) for a in self.coeffs), default=0)
@@ -176,6 +176,7 @@ class SpectralCurve:
     def __init__(self):
         self._omegas: dict = {}  # (g, n) -> PoleBasisDifferential, as requested
         self._orbits: dict = {}  # (g, n) -> {sorted assignment: coefficient}
+        self._factors: dict = {}  # _factor's stable results, read only
         self._charts: dict = {}
 
     @classmethod
@@ -304,7 +305,8 @@ class SpectralCurve:
 
         Each orbit gives one term for each distinct value at the point, or
         for nz = 2 each distinct unordered pair of values, with weight 2
-        when the two differ: the two orderings of the pair."""
+        when the two differ: the two orderings of the pair.  A stable
+        factor does not depend on bound, and is built once per curve."""
         if gp == 0 and nz + m == 2:
             if nz == 2:
                 # dz dzhat / (z - 1/z)^2 = -t^-2 (z + alpha)^-2 dz dz, as
@@ -314,6 +316,9 @@ class SpectralCurve:
                 ((alpha, r + 2),): [((0, 0, r) if zhat else (-r, 0, None), r + 1)]
                 for r in range(bound + 3)
             }, 1
+        key = (gp, nz, m, alpha, zhat)
+        if key in self._factors:
+            return self._factors[key]
         table = self._orbit(gp, nz + m)
         den = lcm(*(c.denominator for c in table.values()))
         sign = -1 if zhat else 1
@@ -335,6 +340,7 @@ class SpectralCurve:
                     out.setdefault(rest[:l] + rest[l + 1:], []).append(
                         (_monomial(alpha, (x, y)), c if y == x else 2 * c)
                     )
+        self._factors[key] = out, den
         return out, den
 
 

@@ -8,7 +8,6 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
@@ -60,11 +59,33 @@ def _fmt_witness(v):
     return repr(v)
 
 
-@dataclass
-class VerificationReport:
-    claim: str
-    status: str  # "pass" | "fail" | "inconclusive-atoms" | "exploratory"
-    witness: dict | None = None
+class _Record:
+    """A mutable record of the attributes named in `_fields`: repr and ==
+    field by field, == only against the same class, and no hash."""
+
+    _fields: tuple = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+
+class VerificationReport(_Record):
+    _fields = ("claim", "status", "witness")
+
+    def __init__(self, claim: str, status: str, witness: dict | None = None):
+        self.claim = claim
+        self.status = status  # "pass" | "fail" | "inconclusive-atoms" | "exploratory"
+        self.witness = witness
 
     @property
     def ok(self) -> bool:
@@ -77,22 +98,21 @@ class VerificationReport:
         return out
 
 
-@dataclass
-class FitSpec:
+class FitSpec(_Record):
     """What to fit: the stationary slots of a bracket over P^N with an
     optional fixed multiset of extra insertions.  The one home of the
     family's sampling rules: the floor, the degree bound and the coset
     base."""
 
-    N: int
-    g: int
-    n: int
-    fixed_insertions: tuple = ()
-    min_m: int | None = None  # lower bound for sample levels
+    _fields = ("N", "g", "n", "fixed_insertions", "min_m")
 
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"target dimension N = {self.N} must be >= 1")
+    def __init__(self, N: int, g: int, n: int, fixed_insertions: tuple = (),
+                 min_m: int | None = None):
+        if N < 1:
+            raise ValueError(f"target dimension N = {N} must be >= 1")
+        self.N, self.g, self.n = N, g, n
+        self.fixed_insertions = fixed_insertions
+        self.min_m = min_m  # lower bound for sample levels
 
     @property
     def degree_bound(self) -> int:

@@ -219,6 +219,16 @@ class TestOrbits:
             assert all(list(rep) == sorted(rep) for rep in table)
         assert pd.coeffs == _orderings(curve._orbits[(2, 2)])
 
+    def test_stable_factors_are_built_once_per_curve(self):
+        # a stable factor does not read the pole bound: pass 0 to show it
+        curve = SpectralCurve()
+        curve.omega(2, 2)
+        assert len(curve._factors) > 10
+        fresh = SpectralCurve()
+        for (gp, nz, m, alpha, zhat), built in curve._factors.items():
+            assert curve._factor(gp, nz, m, alpha, 0, zhat) is built
+            assert fresh._factor(gp, nz, m, alpha, 0, zhat) == built
+
     @pytest.mark.parametrize("lo,hi", [((0, 4), (0, 5)), ((1, 2), (1, 3))])
     def test_a_wrong_lower_coefficient_breaks_the_symmetry(self, lo, hi):
         # +1 on any one stored orbit makes two routes to some orbit disagree
@@ -263,6 +273,23 @@ GOLDEN_OMEGA = {
 def test_omega_golden_digest(g, n):
     record = json.dumps(eo_invariant(g, n).to_obj(), sort_keys=True)
     assert hashlib.sha256(record.encode()).hexdigest() == GOLDEN_OMEGA[(g, n)]
+
+
+def test_pole_basis_differential_is_a_record():
+    # the constructor, repr, == and hash that dataclasses used to generate
+    coeffs = {((1, 2), (1, 2), (1, 2)): Fraction(1, 2)}
+    pd = PoleBasisDifferential(0, 3, coeffs)
+    assert repr(pd) == (
+        "PoleBasisDifferential(g=0, n=3, coeffs={((1, 2), (1, 2), (1, 2)): Fraction(1, 2)})"
+    )
+    assert pd == PoleBasisDifferential(g=0, n=3, coeffs=dict(coeffs))
+    assert pd != PoleBasisDifferential(0, 3)
+    assert pd != (0, 3, coeffs)
+    assert pd.__eq__((0, 3, coeffs)) is NotImplemented
+    empty = PoleBasisDifferential(1, 1)
+    assert empty.coeffs == {} and empty.coeffs is not PoleBasisDifferential(1, 1).coeffs
+    with pytest.raises(TypeError):
+        hash(pd)
 
 
 class TestOneChart:

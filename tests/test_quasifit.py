@@ -18,6 +18,7 @@ from gwrec.quasifit import (
     FitSpec,
     InconsistentSamplesError,
     UnderdeterminedSystemError,
+    VerificationReport,
     _difference_plan,
     _differences,
     asymptotics_report,
@@ -463,6 +464,29 @@ class CountingEngine(Engine):
     def invariant(self, N, g, insertions):
         self.reads += 1
         return super().invariant(N, g, insertions)
+
+
+def test_spec_and_report_are_records():
+    # the constructor, repr, == and hash that dataclasses used to generate
+    assert repr(FitSpec(1, 0, 3)) == "FitSpec(N=1, g=0, n=3, fixed_insertions=(), min_m=None)"
+    assert repr(VerificationReport("c", "pass")) == (
+        "VerificationReport(claim='c', status='pass', witness=None)"
+    )
+    spec = FitSpec(2, 1, 2, ((0, 1),), 5)
+    assert spec == FitSpec(N=2, g=1, n=2, fixed_insertions=((0, 1),), min_m=5)
+    assert spec != FitSpec(2, 1, 2, ((0, 1),))
+    assert spec != (2, 1, 2, ((0, 1),), 5)
+    assert spec.__eq__((2, 1, 2, ((0, 1),), 5)) is NotImplemented
+    rep = VerificationReport("c", "fail", {"x": 1})
+    assert rep == VerificationReport(claim="c", status="fail", witness={"x": 1})
+    assert rep != VerificationReport("c", "fail")
+    assert rep != ("c", "fail", {"x": 1})
+    assert rep.__eq__(("c", "fail", {"x": 1})) is NotImplemented
+    for obj in (spec, rep):
+        with pytest.raises(TypeError):
+            hash(obj)
+    with pytest.raises(ValueError):
+        FitSpec(0, 0, 3)
 
 
 class TestFitStationary:
