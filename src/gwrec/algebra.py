@@ -252,10 +252,8 @@ def dot(pairs):
 
     Each coefficient, the scalar and every atom's, is summed as an integer
     numerator over an integer denominator and reduced to a Fraction once,
-    at the end, except that a sum of one product of long values is left to
-    Fraction's cross-cancelling product, which is cheaper on them.  Atoms
-    whose coefficients cancel are dropped.  A product of two atom-carrying
-    factors raises AtomProductError."""
+    at the end.  Atoms whose coefficients cancel are dropped.  A product of
+    two atom-carrying factors raises AtomProductError."""
     num, den = 0, 1
     atoms = None  # atom name -> [numerator, denominator], once a SymRat is seen
     for a, b in pairs:
@@ -277,15 +275,12 @@ def dot(pairs):
                 a = a.scalar
         p = a.numerator * b.numerator
         if p:
-            one = None if num else (a, b)  # the sum so far, while it is one product
             q = a.denominator * b.denominator
             if q == den:
                 num += p
             else:
                 num, den = num * q + p * den, den * q
     if atoms is None:
-        if num and one and den.bit_length() > 512:
-            return Fraction(one[0]) * one[1]
         return Fraction(num, den)
     return SymRat._make(
         Fraction(num, den), {k: Fraction(n, d) for k, (n, d) in atoms.items() if n}

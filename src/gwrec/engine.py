@@ -7,7 +7,10 @@ survivors).  The memo holds every genus-0 value as a plain Fraction (a
 higher-genus value is a SymRat, or a Fraction where no SymRat entered it);
 `Engine.invariant` returns a SymRat.  Each recursion step sums its product
 terms in one `dot`.  The genus-0 and genus-1 recursions split insertions
-by one generator, `_splits`, that carries the dimension excess.
+by one generator, `_splits`, that carries the dimension excess.  One
+generator, `_forget_terms`, states the string and divisor equations: the
+string and divisor rules sum its terms, and the two-point raise and the
+primary route solve the divisor equation for their own term.
 
 The degree of a map is never stored: it is derived from the dimension
 constraint of the key and a key whose derived degree is fractional or
@@ -26,6 +29,7 @@ their factor keys like any route.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -148,8 +152,8 @@ def _splits(N, g, head, tail, free):
     tau_0(w^j) and tail + the rest + tau_0(w^(N-j)), j forced by the left
     factor."""
     # N + 1 times each factor's degree, before the chosen weights and j.
-    a0 = sum(m + k - 1 for m, k in head) - 1 - (N - 3)
-    b0 = sum(m + k - 1 for m, k in tail + free) + N - 1 - (N - 3) * (1 - g)
+    a0 = _dim_excess(N, 0, head + ((0, 0),))
+    b0 = _dim_excess(N, g, tail + free + ((0, N),))
     mod = N + 1
     new = tuple.__new__  # InvariantKey without its Python-level __new__
     for chosen, other, s in _weighted_splits(free):
@@ -161,6 +165,18 @@ def _splits(N, g, head, tail, free):
         left = tuple(sorted(head + chosen + ((0, j),)))
         right = tuple(sorted(tail + other + ((0, N - j),)))
         yield new(InvariantKey, (N, 0, left)), new(InvariantKey, (N, g, right))
+
+
+def _forget_terms(N, g, X, d, k0):
+    """The right side of the string (k0 = 0) or divisor (k0 = 1) equation
+    for <tau_0(w^k0) X>_{g,d}, sorted X, as (coefficient, key) pairs: d <X>
+    for the divisor equation, then, in X's order, <X> with one descendant
+    tau_m(w^k) lowered to tau_(m-1)(w^(k+k0)) where k + k0 <= N."""
+    if k0:
+        yield d, InvariantKey(N, g, X)
+    for i, (m, k) in enumerate(X):
+        if m >= 1 and k + k0 <= N:
+            yield 1, InvariantKey(N, g, tuple(sorted(_replace(X, i, (m - 1, k + k0)))))
 
 
 def _reduction_valid(d, g, n) -> bool:
@@ -274,13 +290,17 @@ class Engine:
         if d is None or (d == 0 and 2 * g - 2 + n <= 0):
             return Fraction(0)
 
-        if (0, 0) in ins and _reduction_valid(d, g, n):
-            return (yield from self._string(key))
-        if (0, 1) in ins and _reduction_valid(d, g, n):
-            return (yield from self._divisor(key, d))
-        if (1, 0) in ins and _reduction_valid(d, g, n):
-            rest = _without(ins, ins.index((1, 0)))
-            return (2 * g - 2 + n - 1) * (yield InvariantKey(N, g, rest))
+        if _reduction_valid(d, g, n):
+            for k0 in (0, 1):  # the string, then the divisor equation
+                if (0, k0) in ins:
+                    rest = _without(ins, ins.index((0, k0)))
+                    terms = []
+                    for c, need in _forget_terms(N, g, rest, d, k0):
+                        terms.append((c, (yield need)))
+                    return dot(terms)
+            if (1, 0) in ins:
+                rest = _without(ins, ins.index((1, 0)))
+                return (2 * g - 2 + n - 1) * (yield InvariantKey(N, g, rest))
 
         top = max((m for m, _ in ins), default=0)
         if g == 0:
@@ -305,41 +325,15 @@ class Engine:
 
     @staticmethod
     def _pivot(ins) -> int:
-        """Distinguished insertion: maximal level, then minimal exponent,
-        then first in canonical order."""
-        best = None
-        for i, (m, k) in enumerate(ins):
-            if best is None or (m, -k) > (ins[best][0], -ins[best][1]):
-                best = i
-        return best
-
-    def _string(self, key: InvariantKey):
-        N, g, ins = key
-        rest = _without(ins, ins.index((0, 0)))
-        terms = []
-        for i, (m, k) in enumerate(rest):
-            if m >= 1:
-                new = _replace(rest, i, (m - 1, k))
-                terms.append((1, (yield InvariantKey(N, g, tuple(sorted(new))))))
-        return dot(terms)
-
-    def _divisor(self, key: InvariantKey, d):
-        N, g, ins = key
-        rest = _without(ins, ins.index((0, 1)))
-        terms = [(d, (yield InvariantKey(N, g, rest)))]
-        for i, (m, k) in enumerate(rest):
-            if m >= 1 and k < N:
-                new = _replace(rest, i, (m - 1, k + 1))
-                terms.append((1, (yield InvariantKey(N, g, tuple(sorted(new))))))
-        return dot(terms)
+        """Distinguished insertion of the sorted, non-empty `ins`: maximal
+        level, then minimal exponent, so the first at the top level."""
+        return bisect_left(ins, (ins[-1][0],))
 
     # ------------------------------------------------------------------
     # genus zero, two insertions and primaries.  `_compute` answers n = 0
     # and the closed-form one-point function (`_g0_one`) itself.  Both
-    # routes here raise a key by a divisor insertion through `trr0_expand`,
-    # as the divisor rule would loop back into them, and peel that rule's
-    # other terms, keys of the same degree d that they yield like any
-    # route, so `Engine.cache` is their memo.
+    # routes here solve the divisor equation for one of its terms through
+    # `_solve_divisor`, as the divisor rule would loop back into them.
 
     def _g0_two(self, N, ins, d):
         (m1, k1), (m2, k2) = ins
@@ -351,13 +345,7 @@ class Engine:
         # a primary and a descendant when m1 == 0.
         if m1 == 0 and k2 == N:
             return Fraction(1, c_factor(N + 1, m2) * d)
-        three = yield from self.trr0_expand(N, tuple(sorted(((0, 1),) + ins)))
-        corr = Fraction(0)
-        for i, (m, k) in enumerate(ins):
-            if m >= 1 and k < N:
-                new = _replace(ins, i, (m - 1, k + 1))
-                corr += yield InvariantKey(N, 0, tuple(sorted(new)))
-        return (three - corr) / d
+        return (yield from self._solve_divisor(N, ins, d, ins))
 
     def wdvv_primary(self, N, ins, d):
         """The route of a primary key, sorted `ins` with n >= 3: the triple
@@ -371,8 +359,21 @@ class Engine:
             return Fraction(int(len(ins) == 3))
         # Sorted, since every other insertion is tau_0 of a class >= 2.
         lowered = ins[1:] + ((1, ins[0][1] - 1),)
-        three = yield from self.trr0_expand(N, ((0, 1),) + lowered)
-        return three - d * (yield InvariantKey(N, 0, lowered))
+        return (yield from self._solve_divisor(N, lowered, d, ins))
+
+    def _solve_divisor(self, N, X, d, unknown):
+        """The genus-0 bracket of the sorted insertions `unknown`, one of
+        the terms of the divisor equation for <tau_0(w) X>_d, sorted X:
+        <tau_0(w) X>_d from `trr0_expand`, less the equation's other terms,
+        keys of degree d yielded like any route's, over the unknown's
+        coefficient (d when it is X itself, 1 for a lowered X)."""
+        val = yield from self.trr0_expand(N, tuple(sorted(((0, 1),) + X)))
+        for c, key in _forget_terms(N, 0, X, d, 1):
+            if key.ins == unknown:
+                coef = c
+            else:
+                val -= c * (yield key)
+        return val / coef
 
     # ------------------------------------------------------------------
     # genus-0 topological recursion
@@ -442,7 +443,7 @@ class Engine:
             )
             # The dimension excess of <tau_m(w^k) L tau_0(w^e)>_0 at e = 0,
             # less the weights of L.
-            a0 = m + k + 1 - N
+            a0 = _dim_excess(N, 0, ((m, k), (0, 0)))
             for left, right, s in _weighted_splits(extras):
                 e = -(a0 + s) % (N + 1)
                 f = yield InvariantKey(N, 0, tuple(sorted(((m, k), (0, e)) + left)))
@@ -465,7 +466,7 @@ class Engine:
         mm = m - (3 * g - 1)
         # The dimension excess of <R tau_alpha(w^j)>_g at alpha = j = 0 with
         # R all of `rest`; a split takes the weights of L off it.
-        c0 = sum(x + y - 1 for x, y in rest) - 1 - (N - 3) * (1 - g)
+        c0 = _dim_excess(N, g, rest + ((0, 0),))
         terms = []
         for alpha in range(3 * g - 1):
             beta = 3 * g - 2 - alpha

@@ -21,7 +21,7 @@ from itertools import permutations
 from math import comb, factorial, lcm
 
 from .algebra import (
-    LaurentSeries, SymRat, binomial, compositions, exact_int, format_rat
+    LaurentSeries, SymRat, TruncationError, binomial, compositions, exact_int, format_rat
 )
 from .engine import DEFAULT_ENGINE, Engine
 from .moduli import psi_intersection
@@ -154,7 +154,10 @@ class _Chart:
             while len(self._rows) <= q + 1:
                 self._rows.append(self._rows[-1] * self._inv)
             row = self._rows[q + 1]
-            row.coefficient(p - r)  # the deepest read: TruncationError beyond the row
+            if p - r >= row.trunc:  # the deepest read
+                raise TruncationError(
+                    f"coefficient of {row.var}^{p - r} beyond truncation {row.trunc}"
+                )
             nums, head = row.nums, self._zpow(e)  # M_b is a unit: nums[k] = [t^k] M_b
             out = []
             for j in range(2, p + 3 - r):
@@ -539,18 +542,18 @@ def _tensor_add(store, key, c):
 
 def _string_terms(a, k, m) -> dict:
     """d/dz [x^m / x' (z - a)^-k], k >= 2, as coefficients of poles
-    ("p", b, j) = (z - b)^-j.  x^m / x' = x^m z^2 / ((z - a)(z + a)) has
+    (b, j) = (z - b)^-j.  x^m / x' = x^m z^2 / ((z - a)(z + a)) has
     no polynomial part: at -a a simple pole of residue (-2a)^(m-1-k), since
     x(-a) = -2a; at a, with t = z - a, the coefficient of t^-j is
     [t^(k+1-j)] of x^m z^2 / (z + a) = P_m(t) + (-2a)^m / (2a + t), with
     P_0 = t and P_1 = 2 + a t + t^2."""
     s = Fraction(-2 * a)
     poly = ((0, 1), (2, a, 1))[m]
-    out = {("p", -a, 2): -(s ** (m - 1 - k))}
+    out = {(-a, 2): -(s ** (m - 1 - k))}
     for j in range(1, k + 2):
         e = k + 1 - j
         c = (poly[e] if e < len(poly) else 0) - s ** (m - 1 - e)
-        out["p", a, j + 1] = -j * c
+        out[a, j + 1] = -j * c
     return out
 
 
@@ -567,13 +570,13 @@ def _string_weights(alpha, K) -> tuple:
     return y, yx, phi
 
 
-def _last_slot(pd, weights, i, key) -> dict:
+def _last_slot(pd, weights, i) -> dict:
     """The sum over pd's terms of c [t^(k-1)] weights[a][i], (a, k) the
-    last slot, as a tensor keyed by key(the other slots)."""
+    last slot, as a tensor keyed by the other slots."""
     out: dict = {}
     for assign, c in pd.coeffs.items():
         a, k = assign[-1]
-        _tensor_add(out, key(assign[:-1]), c * weights[a][i][k - 1])
+        _tensor_add(out, assign[:-1], c * weights[a][i][k - 1])
     return out
 
 
@@ -602,7 +605,7 @@ def eo_string_dilaton_check(
     weights = {alpha: _string_weights(alpha, hi.max_order()) for alpha in (1, -1)}
 
     # String equation.  LHS: residues of y x^m against the last slot.
-    lhs = _last_slot(hi, weights, m, lambda rest: tuple(("p", a, k) for a, k in rest))
+    lhs = _last_slot(hi, weights, m)
     # RHS: minus the derivative terms of the lower invariant.
     rhs: dict = {}
     terms: dict = {}  # _string_terms per slot (a, k)
@@ -612,16 +615,12 @@ def eo_string_dilaton_check(
             if (a, k) not in terms:
                 terms[a, k] = _string_terms(a, k, m)
             for ukey, uc in terms[a, k].items():
-                key = tuple(
-                    ("p", aa, kk) if l != i else ukey
-                    for l, (aa, kk) in enumerate(assign)
-                )
-                _tensor_add(rhs, key, -c * uc)
+                _tensor_add(rhs, assign[:i] + (ukey,) + assign[i + 1 :], -c * uc)
     if failed := _mismatch(claim, "string", lhs, rhs):
         return failed
 
     # Dilaton equation against a local antiderivative of y dx.
-    dl = _last_slot(hi, weights, 2, tuple)
+    dl = _last_slot(hi, weights, 2)
     dr: dict = {}
     scale = Fraction(2 * g - 2 + n)
     for assign, c in lo.coeffs.items():

@@ -17,6 +17,7 @@ from gwrec.engine import (
     InvariantKey,
     _dim_excess,
     _forced_class,
+    _forget_terms,
     _g0_one,
     _harmonic,
     _run_routes,
@@ -85,6 +86,36 @@ def _golden_keys_genus2():
 
 def test_engine_golden_digest_genus2(tmp_path):
     assert _cache_digest(_golden_keys_genus2(), tmp_path) == GOLDEN_ENGINE_GENUS2
+
+
+# sha256 of the save_cache bytes, and of the canonical keys in insertion
+# order, of a fresh engine after evaluating _golden_keys_sweep(): 352
+# records, among them the N = 3 two-point raises through the divisor
+# equation, which the digests above do not reach.
+GOLDEN_SWEEP = "ece25d561eff45d35d13bf99a9ec96926edf86b7b60c9c0baab9d1bd716cb400"
+GOLDEN_SWEEP_ORDER = "44fb9d8ab1938a27f68ce5fb733f2347ca4f6ea994c35499c5d5d5a814c38424"
+
+
+def _golden_keys_sweep():
+    """<pt^(3d-1)> on P^2 for d <= 4, <(0,2)^8> on P^3, then every
+    genus-0 two-point key with N <= 3 and levels <= 6."""
+    for d in range(1, 5):
+        yield 2, 0, [(0, 2)] * (3 * d - 1)
+    yield 3, 0, [(0, 2)] * 8
+    for N in (1, 2, 3):
+        pairs = [(m, k) for m in range(7) for k in range(N + 1)]
+        for a, b in combinations_with_replacement(pairs, 2):
+            yield N, 0, [a, b]
+
+
+def test_engine_golden_digest_sweep(tmp_path):
+    assert _cache_digest(_golden_keys_sweep(), tmp_path) == GOLDEN_SWEEP
+    eng = Engine()
+    for N, g, ins in _golden_keys_sweep():
+        eng.invariant(N, g, ins)
+    order = "".join(key.canonical() + "\n" for key in eng.cache)
+    assert len(eng.cache) == 352
+    assert hashlib.sha256(order.encode()).hexdigest() == GOLDEN_SWEEP_ORDER
 
 
 def test_memo_holds_no_key_without_a_degree():
@@ -327,6 +358,55 @@ class TestDispatch:
         assert E.invariant(3, 0, [(0, 1), (0, 1), (0, 1)]) == 1
         assert E.invariant(2, 0, [(0, 0), (0, 0), (0, 2)]) == 1
         assert E.invariant(2, 0, [(0, 0), (0, 1), (0, 2)]) == 0
+
+
+def _forget_reference(N, g, X, d, k0):
+    """The right side of the string (k0 = 0) or divisor (k0 = 1) equation
+    for <tau_0(w^k0) X>_{g,d}, transcribed term by term: d <X> for the
+    divisor equation, then for each insertion tau_m(w^k) of X in turn the
+    bracket with it replaced by tau_(m-1)(w^(k+k0)), a term that vanishes
+    when m = 0 or when w^(k+k0) = 0, that is k + k0 > N."""
+    out = [(d, InvariantKey.make(N, g, X))] if k0 == 1 else []
+    for i, (m, k) in enumerate(X):
+        if m == 0 or k + k0 > N:
+            continue
+        out.append((1, InvariantKey.make(N, g, X[:i] + ((m - 1, k + k0),) + X[i + 1 :])))
+    return out
+
+
+def _pivot_reference(ins):
+    """Maximal level, then minimal exponent, then first in canonical order:
+    the argmax loop the engine's pivot once was."""
+    best = None
+    for i, (m, k) in enumerate(ins):
+        if best is None or (m, -k) > (ins[best][0], -ins[best][1]):
+            best = i
+    return best
+
+
+class TestEngineRules:
+    @pytest.mark.parametrize("k0", [0, 1])
+    @pytest.mark.parametrize("g", [0, 1, 2])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_forget_terms_state_the_string_and_divisor_equations(self, N, g, k0):
+        pairs = [(m, k) for m in range(4) for k in range(N + 1)]
+        checked = 0
+        for n in range(5):
+            for X in combinations_with_replacement(pairs, n):
+                d = degree_of(N, g, ((0, k0),) + X)
+                if d is None:
+                    continue
+                got = list(_forget_terms(N, g, X, d, k0))
+                assert got == _forget_reference(N, g, X, d, k0), (N, g, X, k0)
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_pivot_is_the_argmax(self, N):
+        pairs = [(m, k) for m in range(5) for k in range(N + 1)]
+        for n in range(1, 6):
+            for ins in combinations_with_replacement(pairs, n):
+                assert Engine._pivot(ins) == _pivot_reference(ins), ins
 
 
 class TestPostHocIdentities:

@@ -644,7 +644,7 @@ class TestStringDilaton:
         for k in range(2, 13):
             terms = _string_terms(a, k, m)
             for z in (Fraction(3), Fraction(5, 2), Fraction(-7, 3), Fraction(1, 4)):
-                got = sum(c * (z - b) ** (1 - j) / (1 - j) for (_, b, j), c in terms.items())
+                got = sum(c * (z - b) ** (1 - j) / (1 - j) for (b, j), c in terms.items())
                 want = (z + 1 / z) ** m * z**2 / (z**2 - 1) / (z - a) ** k
                 assert got == want, (a, m, k, z)
 
