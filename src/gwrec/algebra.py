@@ -146,10 +146,6 @@ class SymRat:
     def of(cls, v) -> "SymRat":
         return v if isinstance(v, SymRat) else cls(v)
 
-    @property
-    def is_rational(self) -> bool:
-        return not self.atoms
-
     def rational(self) -> Fraction:
         if self.atoms:
             raise ValueError(f"value carries unresolved atoms: {sorted(self.atoms)}")
@@ -302,10 +298,6 @@ class MultiPoly:
                 c = SymRat.of(c)
                 if c:
                     self.terms[tuple(e)] = c
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
 
     @classmethod
     def const(cls, nvars, c):
@@ -551,9 +543,6 @@ class LaurentSeries:
     def _check_compat(self, other):
         if self.var != other.var or self.center != other.center:
             raise ValueError("series live in different local charts")
-
-    def is_zero(self) -> bool:
-        return not self.nums
 
     def coefficient(self, e: int) -> Fraction:
         if e >= self.trunc:

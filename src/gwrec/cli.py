@@ -46,25 +46,20 @@ class CacheConflictError(ValueError):
     pass
 
 
-class Config:
-    """Runtime configuration: rational values assigned to symbolic atoms."""
-
-    def __init__(self, atoms=None):
-        self.atoms = {k: Fraction(v) for k, v in (atoms or {}).items()}
-
-    @classmethod
-    def load(cls, path) -> "Config":
-        with open(path) as fh:
-            obj = json.load(fh)
-        if not isinstance(obj, dict) or not isinstance(obj.get("atoms", {}), dict):
-            raise UsageError(f"{path}: a config is a JSON object with an object of atoms")
-        atoms = {}
-        for name, val in obj.get("atoms", {}).items():
-            try:
-                atoms[name] = parse_rat(str(val))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise UsageError(f"bad atom value for {name}: {val!r}") from exc
-        return cls(atoms)
+def load_atoms(path) -> dict:
+    """The rational values a JSON config file assigns to symbolic atoms,
+    {name: Fraction}; UsageError for a malformed file or value."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict) or not isinstance(obj.get("atoms", {}), dict):
+        raise UsageError(f"{path}: a config is a JSON object with an object of atoms")
+    atoms = {}
+    for name, val in obj.get("atoms", {}).items():
+        try:
+            atoms[name] = parse_rat(str(val))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad atom value for {name}: {val!r}") from exc
+    return atoms
 
 
 # One cache record exactly as `save_cache` writes an atom-free value: a
@@ -83,8 +78,8 @@ def load_cache(path, records=None, lines=None) -> dict:
     fresh dict by default) and return it.  Each key is parsed once into an
     InvariantKey and checked like engine input, so two spellings of one key
     are one record; a genus-0 value is held as a Fraction and may carry no
-    atom, and a key no degree fits must hold 0.  A value that differs from
-    one already held is a conflict.
+    atom.  A key no degree fits must hold 0, checked here once for either
+    reader.  A value that differs from one already held is a conflict.
 
     A line already in the form `save_cache` writes is stored in `lines`, if
     given, under its key, so that a save can write it back unchanged."""
@@ -100,6 +95,8 @@ def load_cache(path, records=None, lines=None) -> dict:
                     if not line:
                         continue
                     key, val, canonical = _read_json(line)
+                if val and key.degree() is None:
+                    raise ValueError("nonzero value where no degree fits")
             except (ValueError, LookupError, TypeError, AttributeError,
                     ArithmeticError) as exc:
                 raise UsageError(f"{path}:{lineno}: malformed cache record") from exc
@@ -115,7 +112,7 @@ def load_cache(path, records=None, lines=None) -> dict:
 
 def _read_match(match):
     """(key, value, whether the line is canonical) from a `_RECORD` match,
-    with the checks `_read_json` makes."""
+    with the key and value checks `_read_json` makes."""
     N_text, g_text, ins_text, p_text, q_text = match.groups()
     N, g = int(N_text), int(g_text)
     ints = list(map(int, ins_text[1:-1].replace("),(", ",").split(","))) if ins_text else []
@@ -129,8 +126,6 @@ def _read_match(match):
         q = 1 if q_text is None else _str_int(q_text)
         val = Fraction(_str_int(p_text), q)
         canonical = q_text is None or val.denominator == q != 1
-    if val and key.degree() is None:
-        raise ValueError("nonzero value where no degree fits")
     return key, SymRat(val) if g else val, canonical and key.ins == ins
 
 
@@ -141,8 +136,6 @@ def _read_json(line):
     val = SymRat.from_obj(obj["value"])
     if key.g == 0:
         val = val.rational()
-    if val and key.degree() is None:
-        raise ValueError("nonzero value where no degree fits")
     return key, val, False
 
 
@@ -210,7 +203,7 @@ def _emit_report(rep: VerificationReport) -> bool:
     return rep.ok
 
 
-def cmd_invariant(args, config, engine):
+def cmd_invariant(args, atoms, engine):
     ins = parse_insertions(args.ins, args.N)
     key = InvariantKey.make(args.N, args.g, ins)
     val = engine.invariant(args.N, args.g, ins)
@@ -220,18 +213,18 @@ def cmd_invariant(args, config, engine):
         "degree": key.degree(),
     }
     if args.resolve_atoms:
-        record["atomsResolved"] = format_rat(val.resolve(config.atoms))
+        record["atomsResolved"] = format_rat(val.resolve(atoms))
     emit(record)
     return 0
 
 
-def cmd_psi(args, config, engine):
+def cmd_psi(args, atoms, engine):
     beta = [int(x) for x in args.beta.split(",")] if args.beta else []
     emit({"g": args.g, "beta": beta, "value": format_rat(psi_intersection(args.g, beta))})
     return 0
 
 
-def cmd_n0(args, config, engine):
+def cmd_n0(args, atoms, engine):
     if args.point is not None:
         ms = [int(x) for x in args.point.split(",")]
         val = point_invariant(args.g, ms, args.d)
@@ -241,7 +234,7 @@ def cmd_n0(args, config, engine):
     return 0
 
 
-def cmd_fit(args, config, engine):
+def cmd_fit(args, atoms, engine):
     kappa = tuple(parse_insertions(args.kappa, args.N)) if args.kappa else ()
     spec = FitSpec(
         N=args.N, g=args.g, n=args.n, fixed_insertions=kappa, min_m=args.min_m
@@ -250,18 +243,18 @@ def cmd_fit(args, config, engine):
     return 0
 
 
-def cmd_eo(args, config, engine):
+def cmd_eo(args, atoms, engine):
     emit(eo_invariant(args.g, args.n).to_obj())
     return 0
 
 
-def cmd_verify(args, config, engine):
+def cmd_verify(args, atoms, engine):
     sub = args.what
     # These checks exist only on the projective line.
     if sub in ("dilaton", "eo-compare", "eo-string", "pole", "example-f") and args.N != 1:
         raise UsageError(f"verify {sub} is specific to N = 1")
     try:
-        ok = _verify(sub, args, config, engine)
+        ok = _verify(sub, args, atoms, engine)
     except InconsistentSamplesError as exc:
         # Values off a quasi-polynomial fail, unless only through atoms.
         status = "inconclusive-atoms" if exc.atoms_only else "fail"
@@ -269,7 +262,7 @@ def cmd_verify(args, config, engine):
     return 0 if ok else 1
 
 
-def _verify(sub, args, config, engine) -> bool:
+def _verify(sub, args, atoms, engine) -> bool:
     if sub == "top":
         q = fit_stationary(FitSpec(N=args.N, g=args.g, n=args.n), engine)
         return _emit_report(verify_top_coefficients(q, args.g, args.n, args.N))
@@ -289,12 +282,12 @@ def _verify(sub, args, config, engine) -> bool:
         ray = [int(x) for x in args.ray.split(",")]
         return _emit_report(
             asymptotics_report(
-                args.N, args.g, args.n, ray, args.max_m, engine, config.atoms
+                args.N, args.g, args.n, ray, args.max_m, engine, atoms
             )
         )
     if sub == "eo-compare":
         return _emit_report(
-            compare_eo_gw(args.g, args.n, args.depth, engine, atom_values=config.atoms)
+            compare_eo_gw(args.g, args.n, args.depth, engine, atom_values=atoms)
         )
     if sub == "eo-string":
         return _emit_report(eo_string_dilaton_check(args.g, args.n, args.string_power))
@@ -403,7 +396,7 @@ def build_parser():
     return p
 
 
-def cmd_cache(args, config, engine):
+def cmd_cache(args, atoms, engine):
     if args.action == "validate":
         for path in args.paths:
             emit({"path": path, "records": len(load_cache(path))})
@@ -433,13 +426,13 @@ def main(argv=None) -> int:
     engine = Engine()
     lines: dict = {}
     try:
-        config = Config.load(args.config) if args.config else Config()
+        atoms = load_atoms(args.config) if args.config else {}
         loaded = None
         if args.cache:
             with contextlib.suppress(FileNotFoundError):
                 loaded = len(load_cache(args.cache, engine.cache, lines))
         try:
-            rc = args.func(args, config, engine)
+            rc = args.func(args, atoms, engine)
         except InconsistentSamplesError as exc:
             # A fit whose engine values are not quasi-polynomial: a failed
             # check.  The memo holds only exact values, so it is still saved.

@@ -179,10 +179,9 @@ def _forget_terms(N, g, X, d, k0):
             yield 1, InvariantKey(N, g, tuple(sorted(_replace(X, i, (m - 1, k + k0)))))
 
 
-def _reduction_valid(d, g, n) -> bool:
-    # Forgetting a point needs a stable target: positive degree, or enough
-    # remaining points on the curve.
-    return d > 0 or 2 * g - 2 + (n - 1) > 0
+def _stable(g, n) -> bool:
+    """2g - 2 + n > 0: genus-g curves with n marked points are stable."""
+    return 2 * g - 2 + n > 0
 
 
 def _harmonic(d, s) -> Fraction:
@@ -287,10 +286,12 @@ class Engine:
         d = degree_of(N, g, ins)
         # No degree fits, or a constant map from an unstable curve: either
         # way the key names no bracket.
-        if d is None or (d == 0 and 2 * g - 2 + n <= 0):
+        if d is None or (d == 0 and not _stable(g, n)):
             return Fraction(0)
 
-        if _reduction_valid(d, g, n):
+        # Forgetting a point needs a stable target: positive degree, or
+        # enough remaining points on the curve.
+        if d > 0 or _stable(g, n - 1):
             for k0 in (0, 1):  # the string, then the divisor equation
                 if (0, k0) in ins:
                     rest = _without(ins, ins.index((0, k0)))

@@ -23,7 +23,7 @@ from math import comb, factorial, lcm
 from .algebra import (
     LaurentSeries, SymRat, TruncationError, binomial, compositions, exact_int, format_rat
 )
-from .engine import DEFAULT_ENGINE, Engine
+from .engine import DEFAULT_ENGINE, Engine, _stable
 from .moduli import psi_intersection
 from .quasifit import VerificationReport, _Record
 
@@ -197,7 +197,7 @@ class SpectralCurve:
 
     def omega(self, g, n) -> PoleBasisDifferential:
         g, n = exact_int(g), exact_int(n)
-        if g < 0 or n < 1 or 2 * g - 2 + n <= 0:
+        if g < 0 or n < 1 or not _stable(g, n):
             raise ValueError(f"(g, n) = ({g}, {n}) is not in the stable range")
         key = (g, n)
         if key not in self._omegas:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .algebra import MultiPoly, QuasiPoly, compositions, dot, exact_int
-from .engine import _run_routes, _weighted_splits
+from .engine import _run_routes, _stable, _weighted_splits
 
 
 class UnstableKeyError(ValueError):
@@ -38,7 +38,8 @@ def psi_intersection(g: int, beta) -> Fraction:
     """Exact value of <tau_{beta_1} ... tau_{beta_n}>_g.
 
     Returns 0 when the dimension constraint sum(beta) = 3g - 3 + n fails;
-    raises UnstableKeyError when 2g - 2 + n <= 0.
+    raises ValueError on a negative genus or level, and UnstableKeyError
+    when (g, n) fails the engine's stability test `_stable`.
     """
     g = exact_int(g)
     beta = tuple(sorted(map(exact_int, beta)))
@@ -47,17 +48,13 @@ def psi_intersection(g: int, beta) -> Fraction:
         raise ValueError(f"negative genus {g}")
     if any(b < 0 for b in beta):
         raise ValueError("negative psi exponent")
-    if 2 * g - 2 + n <= 0:
+    if not _stable(g, n):
         raise UnstableKeyError(f"(g, n) = ({g}, {n}) is unstable")
     if sum(beta) != 3 * g - 3 + n:
         return Fraction(0)
     if (g, beta) not in _PSI_CACHE:
         _run_routes((g, beta), _PSI_CACHE, _psi_route)
     return _PSI_CACHE[g, beta]
-
-
-def _stable(g, n) -> bool:
-    return 2 * g - 2 + n > 0
 
 
 def _psi_route(key):

@@ -26,7 +26,7 @@ from .algebra import (
     exact_int,
     format_rat,
 )
-from .engine import DEFAULT_ENGINE, Engine, _forced_class, degree_of
+from .engine import DEFAULT_ENGINE, Engine, _forced_class, _stable, degree_of
 from .moduli import psi_intersection
 
 
@@ -535,20 +535,19 @@ def asymptotics_report(
 ) -> VerificationReport:
     """Ratio of the normalised bracket to its top-degree form along a ray;
     the deviation from 1 is reported and compared to the bound exactly.
-    ValueError when (g, n) is unstable, so that there is no top form, or
-    when no point of the ray up to m_max is admissible."""
+    The ray's points start at its FitSpec's sampling floor.  ValueError
+    when (g, n) is unstable, so that there is no top form, when the FitSpec
+    rejects N, or when no point of the ray up to m_max is admissible."""
     ray = tuple(map(exact_int, ray))
     if len(ray) != n:
         raise ValueError(f"ray has {len(ray)} entries for n = {n} points")
     if any(r <= 0 for r in ray):
         raise ValueError("ray must have positive entries")
-    if 2 * g - 2 + n <= 0:
+    if not _stable(g, n):
         raise ValueError(f"(g, n) = ({g}, {n}) is unstable: no top form")
-    if N < 1:
-        raise ValueError(f"target dimension N = {N} must be >= 1")
+    lo = FitSpec(N, g, n).floor()
     claim = f"asymptotics N={N} g={g} n={n} ray={ray}"
     mod = N + 1
-    lo = max(1, 3 * g - 1)
     t = m_max // max(ray)
     while t > 0:
         ms = tuple(t * r for r in ray)

@@ -91,7 +91,7 @@ def _table_row(g, n, N, residues):
     if (g, n) == (0, 3):
         return MultiPoly.const(3, 1)
     if (g, n) == (0, 4):
-        poly = MultiPoly.zero(4)
+        poly = MultiPoly(4)
         for i in range(4):
             poly = poly + _ceil_linear(4, i, residues[i], mod)
         const = E.invariant(N, 0, [(0, _bar(r, N)) for r in residues])
@@ -102,7 +102,7 @@ def _table_row(g, n, N, residues):
         return poly + MultiPoly.const(1, const)
     if (g, n) == (1, 2):
         r1, r2 = residues
-        quad = MultiPoly.zero(2)
+        quad = MultiPoly(2)
         for i, r in enumerate(residues):
             quad = quad + _ceil_linear(2, i, r, mod) * _ceil_linear(2, i, r, mod, 1)
         quad = quad + _ceil_linear(2, 0, r1, mod) * _ceil_linear(2, 1, r2, mod)

@@ -14,8 +14,8 @@ from gwrec import moduli
 from gwrec.algebra import QuasiPoly, SymRat, parse_rat
 from gwrec.cli import (
     CacheConflictError,
-    Config,
     UsageError,
+    load_atoms,
     load_cache,
     main,
     parse_insertions,
@@ -746,10 +746,12 @@ class TestCacheRecordsCheckedLikeInput:
         ("gw[N=0;g=-1;ins=(-3,7)]", {"scalar": "5"}),
         ("gw[N=1;g=0;ins=(0,1),(2,1)]", {"scalar": "0", "atoms": {"x": "1"}}),
         ("gw[N=1;g=1;ins=(0,0)]", {"scalar": "5", "atoms": {}}),
+        # The same record spelled off the canonical form, read as JSON.
+        ("gw[g=1;N=1;ins=(0,0)]", {"scalar": "5", "atoms": {}}),
         ("gw[N=1;N=2;g=0;ins=(1,0)]", {"scalar": "0", "atoms": {}}),
         ("gw[N=1;g=0;ins=(1,0);foo=bar]", {"scalar": "0", "atoms": {}}),
     ], ids=["key-out-of-range", "genus-0-atom", "nonzero-where-no-degree-fits",
-            "repeated-field", "unknown-field"])
+            "nonzero-where-no-degree-fits-json", "repeated-field", "unknown-field"])
     def bad(self, request, tmp_path):
         path = tmp_path / "bad.jsonl"
         key, value = request.param
@@ -815,7 +817,7 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"atoms": {"x": "not-a-number"}}))
         with pytest.raises(UsageError):
-            Config.load(cfg)
+            load_atoms(cfg)
 
     def test_missing_config_is_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "missing.json"
@@ -829,7 +831,7 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(body))
         with pytest.raises(UsageError):
-            Config.load(cfg)
+            load_atoms(cfg)
         rc, recs, err = run(capsys, "--config", str(cfg), "psi", "--g", "1", "--beta", "1")
         assert rc == 2
         assert recs == []

@@ -386,7 +386,7 @@ class TestExpansion:
                 depth,
             )
             err = u * (1 + 2 * alpha * F + 2 * F * F) - F - alpha * F * F
-            assert err.trunc == depth and err.is_zero(), alpha
+            assert err.trunc == depth and not err.nums, alpha
 
     def test_basis_element_head(self):
         pd = eo_invariant(0, 3)
@@ -722,8 +722,8 @@ class TestChecksReportFailures:
         assert rep.witness["part"] == "dilaton" and rep.witness["diff"]
 
     def test_string_witness_does_not_follow_the_hash_seed(self):
-        # the witness's diff is keyed by tuples holding strings, so its
-        # order must not come from iterating a set
+        # the witness's diff is keyed by tuples of (branch point, pole
+        # order) pairs, so its order must not come from iterating a set
         script = (
             "import json; from gwrec.eo import SpectralCurve, eo_string_dilaton_check\n"
             "curve = SpectralCurve(); curve.omega(0, 4)\n"
